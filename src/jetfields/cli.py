@@ -15,21 +15,16 @@ input errors.  Diagnostics go to stderr; results go to stdout.  The
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional, Sequence
 
 from .errors import JetfieldsError
+from .fields import pushforward
+from .maps import exp_flow
 from .suite import CHECK_IDS, SuiteConfig, run_suite
-from .syntax import (
-    format_field,
-    format_map,
-    format_matrix,
-    format_series,
-    parse_field,
-    parse_map,
-    parse_series,
-)
+from .syntax import parse_field, parse_map
 
 SEED_ENV_VAR = "JETFIELDS_SEED"
 
@@ -101,6 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by ``build_parser`` on first use.
+
+    ``parse_args`` leaves a parser unchanged and nothing in the tree reads
+    the environment (``verify`` reads ``JETFIELDS_SEED`` when it runs, help
+    reads the terminal width when it prints), so one parser serves every
+    call.  It is looked up as the module global ``build_parser`` and built
+    lazily, not at import, so that a wrapper bound to that name sees the
+    call.
+    """
+    return build_parser()
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -135,7 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -143,43 +152,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "div":
             field = parse_field(args.field, args.n, args.order)
-            print(format_series(field.divergence()))
+            print(field.divergence())
         elif args.command == "jac":
             fmap = parse_map(args.map, args.n, args.order)
-            print(format_matrix(fmap.jacobian_matrix()))
+            print(fmap.jacobian_matrix())
         elif args.command == "jacdet":
             fmap = parse_map(args.map, args.n, args.order)
-            print(format_series(fmap.jacobian_det()))
+            print(fmap.jacobian_det())
         elif args.command == "push":
             fmap = parse_map(args.map, args.n, args.order)
             field = parse_field(args.field, args.n, args.order)
-            from .fields import pushforward
-
-            print(format_field(pushforward(fmap, field)))
+            print(pushforward(fmap, field))
         elif args.command == "compose":
             first = parse_map(args.first, args.n, args.order)
             second = parse_map(args.second, args.n, args.order)
-            print(format_map(first.compose(second)))
+            print(first.compose(second))
         elif args.command == "invert":
             fmap = parse_map(args.map, args.n, args.order)
-            print(format_map(fmap.invert()))
+            print(fmap.invert())
         elif args.command == "bracket":
             first = parse_field(args.first, args.n, args.order)
             second = parse_field(args.second, args.n, args.order)
-            print(format_field(first.bracket(second)))
+            print(first.bracket(second))
         elif args.command == "flow":
             field = parse_field(args.field, args.n, args.order)
-            from .maps import exp_flow
-
-            print(format_map(exp_flow(field)))
+            print(exp_flow(field))
         elif args.command == "verify":
             return _cmd_verify(args)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command!r}")
-    except JetfieldsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as exc:
+    except (JetfieldsError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -286,9 +286,9 @@ def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
 
 
 def _check_ring(n: int, order: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise ValueError(f"truncation order must be a non-negative int, got {order!r}")
 
 
@@ -312,6 +312,17 @@ def _lift(jet: "Jet", k: int) -> "Jet":
     return _jet(jet.n, k, jet._num, jet._den, jet._w)
 
 
+def _linear_row(jet: "Jet") -> list["Q"]:
+    """The coefficients of x1..xn in ``jet``, read from its integer form."""
+    n, w, num, den = jet.n, jet._w, jet._num, jet._den
+    degree_one = 1 << (w * n)
+    out = []
+    for j in range(n):
+        c = num.get(degree_one | (1 << (w * (n - 1 - j))))
+        out.append(Q(c, den) if c else _ZERO)
+    return out
+
+
 # -- jets ---------------------------------------------------------------------
 
 
@@ -325,7 +336,7 @@ class Jet:
         canon: dict[Monomial, Q] = {}
         for exps, coeff in terms.items():
             e = tuple(exps)
-            if len(e) != n or any(not isinstance(p, int) or p < 0 for p in e):
+            if len(e) != n or any(type(p) is not int or p < 0 for p in e):
                 raise ValueError(f"bad exponent tuple {exps!r} for {n} variables")
             if sum(e) > order:
                 raise ValueError(

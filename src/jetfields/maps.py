@@ -40,7 +40,7 @@ from .errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from .jets import Jet, JetMatrix, Monomial, _dot, _lift
+from .jets import Jet, JetMatrix, Monomial, _dot, _lift, _linear_row
 from .rationals import Q, RationalLike, as_rational
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -113,14 +113,7 @@ class FormalMap:
 
     def linear_part(self) -> LinearPart:
         """The matrix A with image_i = sum_j A[i][j] x_j + higher order."""
-        out = []
-        for img in self.images:
-            row = []
-            for j in range(self.n):
-                exps = tuple(1 if k == j else 0 for k in range(self.n))
-                row.append(img.coefficient(exps))
-            out.append(row)
-        return out
+        return [_linear_row(img) for img in self.images]
 
     @property
     def is_automorphism(self) -> bool:

@@ -1,10 +1,12 @@
 """Exact rational coefficients.
 
 All arithmetic in this package is exact over the rationals.  ``Q`` is the
-coefficient constructor: gmpy2's mpq when available (noticeably faster on
-the verification suite), otherwise the stdlib Fraction.  Both expose the
-same numerator/denominator protocol and print reduced ``p/q`` strings, so
-the rest of the package never needs to know which one is active.
+coefficient constructor: gmpy2's mpq when available, otherwise the stdlib
+Fraction.  The kernel computes on integer numerators, so rationals appear
+only at the API boundary, and whether gmpy2 is faster there has not been
+measured.  Both expose the same numerator/denominator protocol and print
+reduced ``p/q`` strings, so the rest of the package never needs to know
+which one is active.
 
 Floats are rejected everywhere.  A float argument is almost always an
 accident that would silently smuggle binary rounding noise into an exact

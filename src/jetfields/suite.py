@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from . import linalg
-from .errors import ConfigError
+from .errors import ConfigError, JetfieldsError
 from .fields import (
     Derivation,
     FieldGenParams,
@@ -532,8 +532,30 @@ CHECKS: dict[str, IdentityCheck] = {
 
 CHECK_IDS = tuple(CHECKS)
 
+# The (maps, fields) counts that each check's generator returns.
+_ARITY = {
+    "C1": (2, 0), "C2": (2, 0), "C3": (1, 0), "C4": (1, 0), "C5": (1, 1),
+    "C6": (0, 4), "C7": (2, 2), "C8": (1, 0), "C9": (0, 3), "C10": (0, 2),
+}
+
 
 # -- configuration and execution ----------------------------------------------------
+
+
+def _cell_check(check, n, order) -> IdentityCheck:
+    """The catalog entry that runs at (n, order); ``ConfigError`` if none can."""
+    cd = CHECKS.get(check) if isinstance(check, str) else None
+    if cd is None:
+        raise ConfigError(f"unknown check {check!r}; valid ids are {', '.join(CHECK_IDS)}")
+    if type(n) is not int or n < 1:
+        raise ConfigError(f"n must be a positive int, got {n!r}")
+    if type(order) is not int:
+        raise ConfigError(f"order must be an int, got {order!r}")
+    if not cd.applicable(n):
+        raise ConfigError(f"check {check} only applies to n = {cd.n_only}")
+    if order < cd.min_order:
+        raise ConfigError(f"check {check} needs order >= {cd.min_order}, got {order}")
+    return cd
 
 
 @dataclass(frozen=True)
@@ -552,22 +574,20 @@ class SuiteConfig:
     def validate(self) -> None:
         if not self.checks:
             raise ConfigError("no checks selected")
-        unknown = [c for c in self.checks if c not in CHECKS]
+        unknown = [c for c in self.checks if not isinstance(c, str) or c not in CHECKS]
         if unknown:
             raise ConfigError(
                 f"unknown checks {unknown}; valid ids are {', '.join(CHECK_IDS)}"
             )
         if len(set(self.checks)) != len(self.checks):
             raise ConfigError("duplicate check ids in configuration")
-        if not self.n_list or any(not isinstance(n, int) or n < 1 for n in self.n_list):
+        if not self.n_list or any(type(n) is not int or n < 1 for n in self.n_list):
             raise ConfigError("n_list must be non-empty positive ints")
-        if not self.order_list or any(
-            not isinstance(o, int) or o < 1 for o in self.order_list
-        ):
+        if not self.order_list or any(type(o) is not int or o < 1 for o in self.order_list):
             raise ConfigError("order_list must be non-empty positive ints")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials must be a positive int")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ConfigError("seed must be an int")
         for ident in self.checks:
             need = CHECKS[ident].min_order
@@ -607,13 +627,7 @@ def _serialize_inputs(inputs: Inputs) -> dict:
 
 def run_check(check: str, n: int, order: int, seed: int) -> TrialResult:
     """One seeded trial of one catalog check; failures carry a rerun payload."""
-    cd = CHECKS.get(check)
-    if cd is None:
-        raise ConfigError(f"unknown check {check!r}; valid ids are {', '.join(CHECK_IDS)}")
-    if not cd.applicable(n):
-        raise ConfigError(f"check {check} only applies to n = {cd.n_only}")
-    if order < cd.min_order:
-        raise ConfigError(f"check {check} needs order >= {cd.min_order}, got {order}")
+    cd = _cell_check(check, n, order)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     inputs = cd.generate(rng, n, order)
@@ -626,15 +640,29 @@ def run_check(check: str, n: int, order: int, seed: int) -> TrialResult:
 
 
 def rerun_payload(payload: Mapping) -> Outcome:
-    """Re-evaluate a failed trial from its recorded payload."""
-    cd = CHECKS.get(payload.get("check"))
-    if cd is None:
-        raise ConfigError(f"payload names unknown check {payload.get('check')!r}")
-    inputs = {
-        "maps": tuple(FormalMap.from_dict(m) for m in payload.get("maps", [])),
-        "fields": tuple(Derivation.from_dict(f) for f in payload.get("fields", [])),
-    }
-    return cd.evaluate(payload["n"], payload["order"], inputs)
+    """Re-evaluate a failed trial from its recorded payload.
+
+    A payload that does not describe a valid trial raises ``ConfigError``.
+    """
+    if not isinstance(payload, Mapping):
+        raise ConfigError(f"payload must be a mapping, got {type(payload).__name__}")
+    check, n, order = payload.get("check"), payload.get("n"), payload.get("order")
+    cd = _cell_check(check, n, order)
+    try:
+        inputs = {
+            "maps": tuple(FormalMap.from_dict(m) for m in payload.get("maps", [])),
+            "fields": tuple(Derivation.from_dict(f) for f in payload.get("fields", [])),
+        }
+    except (KeyError, TypeError, ValueError, JetfieldsError) as exc:
+        raise ConfigError(f"payload inputs do not decode: {exc!r}") from None
+    arity = tuple(len(inputs[kind]) for kind in ("maps", "fields"))
+    if arity != _ARITY[check]:
+        raise ConfigError(
+            f"check {check} takes (maps, fields) = {_ARITY[check]}, payload has {arity}"
+        )
+    if any(x.n != n or x.order != order for xs in inputs.values() for x in xs):
+        raise ConfigError(f"payload inputs must live at n = {n}, order = {order}")
+    return cd.evaluate(n, order, inputs)
 
 
 @dataclass(frozen=True)

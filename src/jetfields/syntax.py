@@ -19,9 +19,9 @@ rejected rather than silently dropped, duplicate monomials are summed,
 and a map must bind every variable exactly once with images vanishing at
 the origin.
 
-The formatters emit the canonical form these parsers round-trip:
-ascending total degree, earlier variables first within a degree, reduced
-coefficients, " + " / " - " joins.
+``str`` of a jet, matrix, field or map emits the canonical form these
+parsers round-trip: ascending total degree, earlier variables first
+within a degree, reduced coefficients, " + " / " - " joins.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import re
 
 from .errors import ParseError
 from .fields import Derivation
-from .jets import Jet, JetMatrix, Monomial
+from .jets import Jet, Monomial
 from .maps import FormalMap
 from .rationals import Q
 
@@ -291,18 +291,3 @@ def parse_map(text: str, n: int, order: int) -> FormalMap:
     p.finish()
     return fmap
 
-
-def format_series(jet: Jet) -> str:
-    return str(jet)
-
-
-def format_field(field: Derivation) -> str:
-    return str(field)
-
-
-def format_map(fmap: FormalMap) -> str:
-    return str(fmap)
-
-
-def format_matrix(matrix: JetMatrix) -> str:
-    return str(matrix)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from jetfields import cli
 from jetfields.cli import SEED_ENV_VAR, main
 
 SIGMA = "x1 -> x1; x2 -> x2 + x1^2"
@@ -88,6 +89,65 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "div", "-n", "2", "(x1)*d1")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
+
+
+# -- parser reuse ----------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    original = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "div", "-n", "2", "-N", "4", "(x1)*d1 + (x2)*d2") == (0, "2\n", "")
+        assert run(capsys, "frobnicate")[0] == 2
+        assert run(capsys, "jacdet", "-n", "2", "-N", "4", SIGMA) == (0, "1\n", "")
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_usage_error_leaves_parser_intact(capsys):
+    argv = ("push", "-n", "2", "-N", "4", SIGMA, "(1)*d1")
+    alone = run(capsys, *argv)
+    code, out, err = run(capsys, "push", "-n", "2", SIGMA, "(1)*d1")
+    assert code == 2 and out == "" and "-N" in err
+    assert run(capsys, *argv) == alone == (0, "(1)*d1 + (-2*x1)*d2\n", "")
+
+
+def test_help_twice(capsys):
+    for _ in range(2):
+        code, out, _ = run(capsys, "-h")
+        assert code == 0
+        assert out.startswith("usage: jetfields")
+    code, out, _ = run(capsys, "div", "-h")
+    assert code == 0 and "VARS" in out
+
+
+def test_import_does_not_build_parser():
+    # Counts calls to any function named build_parser while the module is
+    # imported in a fresh interpreter.
+    script = (
+        "import sys\n"
+        "calls = []\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'build_parser':\n"
+        "        calls.append(1)\n"
+        "sys.setprofile(hook)\n"
+        "import jetfields.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # -- verify subcommand --------------------------------------------------------------

@@ -287,6 +287,17 @@ def test_constructor_validation():
         Jet(1, -1, {})
 
 
+def test_bool_is_not_an_int_here():
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Jet(2, 3, {(True, False): 1})
+    with pytest.raises(ValueError):
+        Jet(True, 3, {})
+    with pytest.raises(ValueError):
+        Jet(1, True, {})
+    with pytest.raises(ValueError):
+        Jet.from_dict({"n": 1, "order": 3, "terms": [{"exp": [True], "num": "1", "den": "1"}]})
+
+
 def test_zero_coefficients_are_dropped():
     f = Jet(2, 3, {(1, 0): 0, (0, 1): 2})
     assert f.terms == {(0, 1): Q(2)}

@@ -291,6 +291,24 @@ def test_sampled_maps_are_automorphisms():
                 assert cj.is_constant_jacobian()
 
 
+def test_linear_part_matches_coefficients():
+    def by_coefficient(fmap):
+        unit = [tuple(int(k == j) for k in range(fmap.n)) for j in range(fmap.n)]
+        return [[img.coefficient(e) for e in unit] for img in fmap.images]
+
+    rng = seeded_rng("linear-part")
+    maps = [linear_map([[2, "1/3"], [0, -1]], 300)]  # wider key layout
+    for n, order in GRID:
+        for _ in range(5):
+            maps.append(random_automorphism(n, order, rng))
+            maps.append(random_const_jacobian(n, order, rng))
+            maps.append(random_shear(n, order, rng))
+    for fmap in maps:
+        assert fmap.linear_part() == by_coefficient(fmap)
+    assert identity_map(3, 2).linear_part() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linear_map([[0, 0], [0, "5/7"]], 3).linear_part() == [[0, 0], [0, Q(5, 7)]]
+
+
 def test_random_shear_fixes_target_coordinate():
     rng = seeded_rng("sampler-shear")
     for _ in range(10):

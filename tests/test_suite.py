@@ -90,6 +90,13 @@ def test_run_check_rejects_bad_cells():
         run_check("C4", 2, 2, 0)
 
 
+def test_run_check_rejects_non_positive_n():
+    with pytest.raises(ConfigError, match="positive int"):
+        run_check("C1", 0, 3, 1)
+    with pytest.raises(ConfigError):
+        run_check("C1", True, 3, 1)
+
+
 # -- configuration validation -----------------------------------------------------
 
 
@@ -107,6 +114,11 @@ def test_config_validation():
         SuiteConfig(seed="0"),
         SuiteConfig(checks=("C4",), order_list=(2, 3)),
         SuiteConfig(checks=("C10",), n_list=(2, 3)),
+        SuiteConfig(checks=(["C1"],)),
+        SuiteConfig(n_list=(True,)),
+        SuiteConfig(order_list=(3, True)),
+        SuiteConfig(trials=True),
+        SuiteConfig(seed=False),
     ]
     for config in cases:
         with pytest.raises(ConfigError):
@@ -160,6 +172,44 @@ def test_rerun_payload_on_passing_inputs():
     assert rerun_payload(payload).passed
     with pytest.raises(ConfigError):
         rerun_payload({"check": "C99", "n": 2, "order": 4})
+
+
+def test_rerun_payload_rejects_unhashable_check():
+    with pytest.raises(ConfigError, match="unknown check"):
+        rerun_payload({"check": []})
+
+
+def test_rerun_payload_rejects_missing_ring():
+    with pytest.raises(ConfigError, match="n must be"):
+        rerun_payload({"check": "C1"})
+    with pytest.raises(ConfigError, match="order must be"):
+        rerun_payload({"check": "C1", "n": 2})
+
+
+def test_rerun_payload_rejects_malformed_inputs():
+    from jetfields import identity_map, partial_field
+
+    ident = identity_map(2, 4).to_dict()
+    bad = [
+        [],
+        {"check": "C1", "n": 2, "order": 4, "maps": [ident]},
+        {"check": "C1", "n": 2, "order": 4, "maps": [ident, {"n": 2}]},
+        {"check": "C1", "n": 2, "order": 4, "maps": [ident, identity_map(3, 4).to_dict()]},
+        {"check": "C5", "n": 2, "order": 4, "maps": [ident],
+         "fields": [partial_field(2, 3, 1).to_dict()]},
+    ]
+    for payload in bad:
+        with pytest.raises(ConfigError):
+            rerun_payload(payload)
+
+
+def test_arity_table_matches_generators():
+    from jetfields.suite import _ARITY
+
+    for ident in CHECK_IDS:
+        n = CHECKS[ident].n_only or 2
+        inputs = CHECKS[ident].generate(random.Random(0), n, 4)
+        assert _ARITY[ident] == (len(inputs["maps"]), len(inputs["fields"])), ident
 
 
 # -- reports ----------------------------------------------------------------------------
