@@ -27,13 +27,10 @@ from .fields import (
     Derivation,
     DivergenceClass,
     FieldGenParams,
-    apply_derivation,
-    bracket,
     centralizes_partials,
     classify_divergence,
     coordinate_frame,
     decompose_const_div,
-    divergence,
     euler_field,
     partial_field,
     pushforward,
@@ -46,15 +43,8 @@ from .maps import (
     FormalMap,
     LinearPart,
     MapGenParams,
-    apply,
-    compose,
     exp_flow,
     identity_map,
-    invert,
-    is_automorphism,
-    is_constant_jacobian,
-    jacobian_det,
-    jacobian_matrix,
     linear_map,
     matrix_inverse,
     random_automorphism,
@@ -119,25 +109,15 @@ __all__ = [
     "SuiteConfig",
     "TrialResult",
     "VerificationReport",
-    "apply",
-    "apply_derivation",
     "as_rational",
-    "bracket",
     "centralizes_partials",
     "classify_divergence",
-    "compose",
     "coordinate_frame",
     "decompose_const_div",
-    "divergence",
     "euler_field",
     "exp_flow",
     "grlex_key",
     "identity_map",
-    "invert",
-    "is_automorphism",
-    "is_constant_jacobian",
-    "jacobian_det",
-    "jacobian_matrix",
     "linear_map",
     "matrix_inverse",
     "negative_control_map",

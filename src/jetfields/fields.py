@@ -392,18 +392,3 @@ def random_divergence_free(
     rng = _as_rng(seed)
     coeffs = _divergence_free_coeffs(rng, n, order, params._map_params())
     return Derivation(n, order, tuple(coeffs))
-
-
-# -- functional aliases mirroring the method API ------------------------------------------
-
-
-def apply_derivation(field: Derivation, f: Jet) -> Jet:
-    return field.apply(f)
-
-
-def bracket(a: Derivation, b: Derivation) -> Derivation:
-    return a.bracket(b)
-
-
-def divergence(field: Derivation) -> Jet:
-    return field.divergence()

@@ -25,15 +25,6 @@ def identity(n: int) -> Matrix:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in cols] for row in a]
-
-
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v)), Q(0)) for row in a]
-
-
 def det(a: Matrix) -> "Q":
     """Determinant by fraction-preserving Gaussian elimination."""
     m = [row[:] for row in a]

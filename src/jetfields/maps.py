@@ -505,34 +505,3 @@ def random_automorphism(
             if extra:
                 images[i] = images[i] + Jet(n, order, extra)
     return FormalMap(n, order, tuple(images))
-
-
-# -- functional aliases mirroring the method API -------------------------------------
-
-
-def apply(sigma: FormalMap, f: Jet) -> Jet:
-    return sigma.apply(f)
-
-
-def compose(sigma: FormalMap, tau: FormalMap) -> FormalMap:
-    return sigma.compose(tau)
-
-
-def is_automorphism(sigma: FormalMap) -> bool:
-    return sigma.is_automorphism
-
-
-def jacobian_matrix(sigma: FormalMap) -> JetMatrix:
-    return sigma.jacobian_matrix()
-
-
-def jacobian_det(sigma: FormalMap) -> Jet:
-    return sigma.jacobian_det()
-
-
-def is_constant_jacobian(sigma: FormalMap) -> bool:
-    return sigma.is_constant_jacobian()
-
-
-def invert(sigma: FormalMap) -> FormalMap:
-    return sigma.invert()

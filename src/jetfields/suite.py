@@ -25,6 +25,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -541,6 +542,17 @@ _ARITY = {
 
 # -- configuration and execution ----------------------------------------------------
 
+# Cost ceilings, checked by ``SuiteConfig.validate`` before any trial runs.
+# A jet of order k in n variables has C(n + k, n) monomials; a product of
+# two dense ones took 4.6 ms at the stretch point (n = 4, order 8: 495
+# monomials) and 11 ms at (4, 10), the largest ring admitted, on a 2-vCPU
+# Xeon under Python 3.11, and a trial runs hundreds of products.  C9's
+# grid brackets every pair of n scaled translation fields for each of the
+# 3**n - 1 nonzero weight vectors, at about 0.45 ms a bracket there; the
+# ceiling admits n <= 5, about 1.1 s a cell, and refuses n = 6, about 5 s.
+MAX_RING_SIZE = 1001
+MAX_GRID_BRACKETS = 2500
+
 
 def _cell_check(check, n, order) -> IdentityCheck:
     """The catalog entry that runs at (n, order); ``ConfigError`` if none can."""
@@ -600,6 +612,27 @@ class SuiteConfig:
             CHECKS[ident].applicable(n) for ident in self.checks for n in self.n_list
         ):
             raise ConfigError("configuration yields no applicable (check, n) cells")
+        for n in self.n_list:
+            if not any(CHECKS[ident].applicable(n) for ident in self.checks):
+                continue
+            for order in self.order_list:
+                # C(n + order, n) > max(n, order) for positive n and order,
+                # so the first test keeps the binomial small.
+                if (max(n, order) >= MAX_RING_SIZE
+                        or math.comb(n + order, n) > MAX_RING_SIZE):
+                    raise ConfigError(
+                        f"cell n={n}, order={order} is too costly: its jets have more "
+                        f"than {MAX_RING_SIZE} monomials"
+                    )
+        if "C9" in self.checks:
+            # Every n here passed the ring ceiling, so 3**n stays small.
+            for n in self.n_list:
+                brackets = (3 ** n - 1) * n * (n - 1) // 2
+                if brackets > MAX_GRID_BRACKETS:
+                    raise ConfigError(
+                        f"C9 at n={n} is too costly: its grid needs {brackets} brackets, "
+                        f"above the limit of {MAX_GRID_BRACKETS}"
+                    )
 
     def to_dict(self) -> dict:
         return {

@@ -1,17 +1,18 @@
 """Boundary orders and edge values of the integer-form kernel paths.
 
 Precision-doubling matrix inversion, degree-lifting map inversion, the
-common-denominator product and the table-backed substitution each have
-orders where their loops are empty or run once, and inputs where every
-coefficient cancels.  These tests check those cases against the naive
-oracles of ``test_jets``, which multiply coefficient by coefficient on
-the public ``terms`` with no Horner folding, product tables or Newton
-steps.
+common-denominator product, the truncated Horner substitution and the
+shared-minor determinant each have orders where their loops are empty or
+run once, and inputs where every coefficient cancels.  These tests check
+those cases against the naive oracles of ``test_jets``, which multiply
+coefficient by coefficient on the public ``terms`` with no Horner
+folding, product tables, shared minors or Newton steps.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -218,3 +219,140 @@ def test_pushforward_checks_a_supplied_jacobian_inverse():
         pushforward(sigma, field, jinv.map_entries(lambda e: e.truncate(2)))
     with pytest.raises(DimensionMismatch):
         pushforward(sigma, field, JetMatrix.identity(3, 3))
+
+
+# -- truncated Horner substitution --------------------------------------------------
+#
+# At n = 4 two variables are folded by Horner and two come from the table
+# of image products, and every fold works to a limit reduced by its power.
+
+
+def with_axis_powers(rng, n: int, order: int) -> Jet:
+    # A random jet plus x1^p and x2^p for every p up to the order, so that
+    # each Horner level folds through every power, and x1^p * xn for every
+    # p below it, so that folds at every reduced limit ask the table for
+    # the same product of the last image.
+    terms = dict(random_jet(rng, n, order).terms)
+    axis = [tuple(p if k == i else 0 for k in range(n))
+            for p in range(order + 1) for i in (0, 1)]
+    mixed = [(p,) + (0,) * (n - 2) + (1,) for p in range(order)]
+    for e in axis + mixed:
+        terms[e] = terms.get(e, Q(0)) + Q(rng.randint(1, 4), rng.choice((1, 2, 3)))
+    return Jet(n, order, terms)
+
+
+def test_substitution_folds_two_horner_levels():
+    rng = seeded_rng("horner-n4")
+    for _ in range(12):
+        order = rng.randint(1, 5)
+        f = with_axis_powers(rng, 4, order)
+        images = [random_jet(rng, 4, order, max_terms=4, zero_const=True) for _ in range(4)]
+        assert f.substitute(images) == naive_substitute(f, images)
+
+
+def test_substitution_into_images_of_mixed_orders():
+    rng = seeded_rng("horner-mixed-orders")
+    for _ in range(16):
+        n = rng.randint(3, 4)
+        order = rng.randint(3, 6)
+        f = with_axis_powers(rng, n, order)
+        images = [random_jet(rng, n, rng.randint(1, order - 1), max_terms=4, zero_const=True)
+                  for _ in range(n)]
+        out = f.substitute(images)
+        assert out.order == min(g.order for g in images)
+        assert out == naive_substitute(f, images)
+
+
+def test_substitution_with_some_zero_images():
+    rng = seeded_rng("horner-zero-images")
+    for _ in range(16):
+        order = rng.randint(1, 5)
+        f = with_axis_powers(rng, 4, order)
+        images = [Jet.zero(4, order) if rng.random() < 0.5
+                  else random_jet(rng, 4, order, max_terms=4, zero_const=True)
+                  for _ in range(4)]
+        assert f.substitute(images) == naive_substitute(f, images)
+
+
+def test_one_table_shared_by_calls_at_different_limits():
+    rng = seeded_rng("horner-two-limits")
+    for _ in range(8):
+        n = rng.randint(3, 4)
+        images = [random_jet(rng, n, 5, max_terms=4, zero_const=True) for _ in range(n)]
+        fs = [with_axis_powers(rng, n, rng.choice((3, 5))) for _ in range(4)]
+        fs += [fs[0].truncate(2), fs[1]]
+        table: dict = {}
+        for f in fs:
+            assert f.substitute(images, _table=table) == naive_substitute(f, images)
+        assert len(table) == len({f.order for f in fs})
+
+
+def test_substitution_across_key_layouts():
+    # Orders from 256 up pack keys in wider fields; a substitution between
+    # orders on either side repacks its operands.
+    wide = Jet(2, 260, {(1, 0): 1, (0, 1): 2, (2, 1): Q(3, 2), (0, 20): -1, (3, 255): 5})
+    narrow = Jet(2, 3, {(1, 0): Q(1, 2), (1, 1): 1, (0, 3): -2})
+    wide_images = [Jet(2, 260, {(1, 0): 1, (0, 2): 1, (1, 1): Q(1, 3)}),
+                   Jet(2, 260, {(0, 1): -1})]
+    narrow_images = [Jet(2, 3, {(1, 0): 2, (0, 2): 1}), Jet(2, 3, {(0, 1): 1, (1, 1): 1})]
+    for f, images in ((wide, wide_images), (wide, narrow_images),
+                      (narrow, wide_images), (narrow, narrow_images)):
+        out = f.substitute(images)
+        assert out.order == min(f.order, images[0].order)
+        assert out == naive_substitute(f, images)
+    one = Jet(1, 300, {(1,): 1, (2,): 3, (299,): 2})
+    image = Jet(1, 300, {(1,): Q(1, 2), (150,): 1})
+    assert one.substitute([image]) == naive_substitute(one, [image])
+
+
+# -- the shared-minor determinant ---------------------------------------------------
+
+
+def leibniz_det(m: JetMatrix) -> Jet:
+    n, order = m.n, m.order
+    total = Jet.zero(n, order)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = Jet.constant(n, order, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            prod = naive_mul(prod, m.rows[i][j])
+        total = total + prod
+    return total
+
+
+def sparse_matrix(rng, n: int, order: int) -> JetMatrix:
+    # Entries are zero a third of the time; the rest have non-unit constants.
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            if rng.random() < 1 / 3:
+                row.append(Jet.zero(n, order))
+            else:
+                f = random_jet(rng, n, order, max_terms=3, zero_const=True)
+                row.append(f + Q(rng.randint(-3, 3), rng.choice((1, 2, 5))))
+        rows.append(tuple(row))
+    return JetMatrix(tuple(rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_matches_the_leibniz_expansion(n):
+    rng = seeded_rng(f"det-leibniz-{n}")
+    for order in (0, 1, 2, 3):
+        for _ in range(6 if n < 5 else 2):
+            m = sparse_matrix(rng, n, order)
+            det = m.det()
+            assert det.order == order
+            assert det == leibniz_det(m)
+
+
+def test_det_of_degenerate_matrices():
+    rng = seeded_rng("det-degenerate")
+    for n in (2, 3, 4):
+        m = sparse_matrix(rng, n, 2)
+        rows = list(m.rows)
+        twin = JetMatrix(tuple(rows[:-1] + [rows[0]]))
+        assert twin.det() == Jet.zero(n, 2)
+        hole = JetMatrix(tuple([tuple(Jet.zero(n, 2) for _ in range(n))] + rows[1:]))
+        assert hole.det() == Jet.zero(n, 2)
+        assert JetMatrix.identity(n, 0).det() == Jet.constant(n, 0, 1)

@@ -183,6 +183,19 @@ def test_verify_rejects_bad_config(capsys):
     assert "order >= 3" in err
 
 
+def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("run_suite must not start")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for argv in (["verify", "--n-list", "12"],
+                 ["verify", "--checks", "C9", "--n-list", "2,6", "--order-list", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "too costly" in err
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "9")
     argv = ["verify", "--checks", "C1", "--n-list", "1", "--order-list", "3",

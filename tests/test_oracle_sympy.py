@@ -1,0 +1,99 @@
+"""An independent oracle: sympy's polynomial algebra, truncated by degree.
+
+Substitution, determinants and Jacobian determinants are compared with
+sympy's expansion of the same polynomials, cut at the order the kernel
+claims, and every comparison also asserts that claimed order.  The whole
+module is skipped where sympy is not installed.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from conftest import exponent_tuples, jets, rationals  # noqa: E402
+from jetfields import FormalMap, Jet, JetMatrix, Q  # noqa: E402
+
+XS = sympy.symbols("x1:5")
+EXAMPLES = settings(max_examples=25, deadline=None)
+
+
+def to_sympy(f: Jet):
+    xs = XS[:f.n]
+    return sympy.Add(*(
+        sympy.Rational(int(c.numerator), int(c.denominator))
+        * sympy.Mul(*(x ** p for x, p in zip(xs, e)))
+        for e, c in f.terms.items()
+    ))
+
+
+def truncated_terms(expr, n: int, order: int) -> dict:
+    """The coefficients of ``expr`` through total degree ``order``."""
+    poly = sympy.Poly(sympy.expand(expr), *XS[:n])
+    return {e: Q(int(c.p), int(c.q)) for e, c in poly.terms() if c and sum(e) <= order}
+
+
+def vanishing_jets(n: int, order: int, max_terms: int = 3) -> st.SearchStrategy:
+    # Jets with zero constant term: the images that substitution accepts.
+    return st.dictionaries(
+        exponent_tuples(n, order).filter(any), rationals(), max_size=max_terms
+    ).map(lambda terms: Jet(n, order, terms))
+
+
+@st.composite
+def substitutions(draw):
+    n = draw(st.integers(1, 4))
+    f = draw(jets(n, draw(st.integers(0, 4)), max_terms=5))
+    images = [draw(vanishing_jets(n, draw(st.integers(1, 4)))) for _ in range(n)]
+    return f, images
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 3))
+    return JetMatrix(tuple(
+        tuple(draw(jets(n, order, max_terms=3)) for _ in range(n)) for _ in range(n)
+    ))
+
+
+@st.composite
+def formal_maps(draw):
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 4))
+    return FormalMap(n, order, tuple(draw(vanishing_jets(n, order)) for _ in range(n)))
+
+
+@EXAMPLES
+@given(substitutions())
+def test_substitute_matches_sympy(case):
+    f, images = case
+    out = f.substitute(images)
+    claimed = min([f.order] + [g.order for g in images])
+    assert out.order == claimed
+    expr = to_sympy(f).subs(
+        {x: to_sympy(g) for x, g in zip(XS, images)}, simultaneous=True
+    )
+    assert out.terms == truncated_terms(expr, f.n, claimed)
+
+
+@EXAMPLES
+@given(matrices())
+def test_det_matches_sympy(m):
+    det = m.det()
+    assert det.order == m.order
+    expr = sympy.Matrix([[to_sympy(e) for e in row] for row in m.rows]).det(method="berkowitz")
+    assert det.terms == truncated_terms(expr, m.n, m.order)
+
+
+@EXAMPLES
+@given(formal_maps())
+def test_jacobian_det_matches_sympy(sigma):
+    jd = sigma.jacobian_det()
+    assert jd.order == sigma.order - 1
+    xs = XS[:sigma.n]
+    jac = sympy.Matrix([[sympy.diff(to_sympy(img), x) for x in xs] for img in sigma.images])
+    assert jd.terms == truncated_terms(jac.det(method="berkowitz"), sigma.n, sigma.order - 1)

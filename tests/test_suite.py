@@ -125,6 +125,26 @@ def test_config_validation():
             config.validate()
 
 
+def test_config_cost_guard():
+    # Every config that the tests, the README and the benchmark run is
+    # admitted, the stretch point with C9 included.
+    for config in (SuiteConfig(), SMALL, SuiteConfig(n_list=(4,), order_list=(8,)),
+                   SuiteConfig(checks=("C9",), n_list=(5,), order_list=(2, 5))):
+        config.validate()
+    too_costly = [
+        SuiteConfig(n_list=(12,)),
+        SuiteConfig(checks=("C1",), n_list=(4,), order_list=(11,)),
+        SuiteConfig(checks=("C1",), n_list=(1,), order_list=(1001,)),
+        SuiteConfig(checks=("C1",), n_list=(10 ** 9,), order_list=(10 ** 9,)),
+        SuiteConfig(checks=("C9",), n_list=(6,), order_list=(2,)),
+    ]
+    for config in too_costly:
+        with pytest.raises(ConfigError, match="too costly"):
+            config.validate()
+    # A ring past the ceiling only counts where some selected check applies.
+    SuiteConfig(checks=("C10",), n_list=(1, 12), order_list=(3,)).validate()
+
+
 def test_inapplicable_cells_are_skipped_not_run():
     report = run_suite(SuiteConfig(
         checks=("C1", "C10"), n_list=(2,), order_list=(3,), trials=2, seed=0,
