@@ -26,7 +26,7 @@ from .errors import (
     OrderMismatch,
     PrecisionExhausted,
 )
-from .jets import Jet, JetMatrix, Monomial, _dot
+from .jets import Jet, JetMatrix, Monomial, _apply_partials, _dot
 from .maps import (
     FormalMap,
     MapGenParams,
@@ -75,19 +75,19 @@ class Derivation:
     # the derivation action
 
     def apply(self, f: Jet) -> Jet:
-        """sum_i a_i * df/dx_i, exact to min(self.order, f.order - 1)."""
+        """sum_i a_i * df/dx_i, exact to min(self.order, f.order - 1).
+
+        One product pass on the integer form: each partial is built straight
+        from f's numerators and paired with its coefficient, and the sum is
+        reduced once, with no partial-derivative jets in between.
+        """
         if f.n != self.n:
             raise DimensionMismatch(
                 f"cannot apply a field on {self.n} variables to a jet on {f.n}"
             )
         if f.order < 1:
             raise PrecisionExhausted("cannot differentiate a jet of order 0")
-        k = min(self.order, f.order - 1)
-        return _dot(self.n, k, [
-            (a, f.partial_derivative(i))
-            for i, a in enumerate(self.coefficients, start=1)
-            if not a.is_zero
-        ])
+        return _apply_partials(self.coefficients, f, min(self.order, f.order - 1))
 
     def bracket(self, other: "Derivation") -> "Derivation":
         """The commutator [self, other], exact to min(orders) - 1."""

@@ -171,8 +171,7 @@ def _lincomb(pairs: Sequence[tuple[int, tuple[dict, int]]], limit: int) -> tuple
     return {k: v for k, v in acc.items() if v and k < limit}, den
 
 
-def _dot_terms(pairs: Sequence[tuple[tuple[dict, int], tuple[dict, int]]],
-               limit: int) -> tuple[dict, int]:
+def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, int]:
     """sum a/da * b/db over ((a, da), (b, db)) pairs, keys below ``limit``.
 
     Every product is accumulated on integer numerators into one dict over
@@ -180,6 +179,11 @@ def _dot_terms(pairs: Sequence[tuple[tuple[dict, int], tuple[dict, int]]],
     intermediate sums.  The shorter operand of each product is walked in
     full and the longer one in key order, stopping at the first monomial
     that would exceed the degree cap.
+
+    Numerators are dicts, which are sorted for that walk on every call, or
+    lists of (key, numerator) items, which are walked as given: a caller
+    that uses one operand in many products sorts it once (``_sorted``).  A
+    list need not be sorted when no product of its pair reaches ``limit``.
     """
     pairs = [(a, da * db, b) for (a, da), (b, db) in pairs if a and b]
     if not pairs:
@@ -191,17 +195,23 @@ def _dot_terms(pairs: Sequence[tuple[tuple[dict, int], tuple[dict, int]]],
         s = den // d
         if len(a) > len(b):
             a, b = b, a
-        bseq = sorted(b.items())
-        for ka, ca in a.items():
+        if type(b) is dict:
+            b = sorted(b.items())
+        for ka, ca in (a.items() if type(a) is dict else a):
             room = limit - ka
             if s != 1:
                 ca *= s
-            for kb, cb in bseq:
+            for kb, cb in b:
                 if kb >= room:
                     break
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}, den
+
+
+def _sorted(form: tuple[dict, int]) -> tuple[list, int]:
+    """``form`` with its numerators as a key-sorted item list, for reuse in ``_dot_terms``."""
+    return sorted(form[0].items()), form[1]
 
 
 def _derive_terms(num: dict, j: int, n: int, w: int) -> dict:
@@ -244,7 +254,9 @@ def _subst_terms(terms: dict, images: Sequence[tuple[dict, int]], limit: int, un
     ``terms`` maps exponent tuples over len(images) variables to integer
     numerators (the caller divides by their denominator); each image is a
     (numerators, denominator) pair in the result's key layout, with no
-    constant term, and ``unit`` is one step of that layout's degree field.
+    constant term and its numerators sorted once (``_sorted``), since every
+    fold and table product reuses it; ``unit`` is one step of that layout's
+    degree field.
 
     While more than ``_TAIL`` variables remain, the leading one is folded by
     Horner: with f = sum_p head**p * S_p(rest), folding from the highest
@@ -306,6 +318,19 @@ def _check_ring(n: int, order: int) -> None:
         raise ValueError(f"truncation order must be a non-negative int, got {order!r}")
 
 
+def _form(jet: "Jet", k: int) -> tuple[dict, int]:
+    """The integer form of ``jet`` as an operand of a product pass capped at order k.
+
+    ``k`` must not exceed jet.order.  A jet already in the key layout of
+    order k goes in as stored: the pass drops every product of degree above
+    k, and a kept product has degree <= k < 2**w, so no exponent field
+    carries.  A jet in another layout is clipped and repacked.
+    """
+    if jet._w == _width(k):
+        return jet._num, jet._den
+    return jet._clipped(k)
+
+
 def _dot(n: int, k: int, pairs) -> "Jet":
     """sum x * y over pairs of jets in n variables, as a jet of order k.
 
@@ -313,7 +338,30 @@ def _dot(n: int, k: int, pairs) -> "Jet":
     accumulated together, with no intermediate jets or sums.
     """
     w = _width(k)
-    num, den = _dot_terms([(x._clipped(k), y._clipped(k)) for x, y in pairs], _limit(k, n, w))
+    num, den = _dot_terms([(_form(x, k), _form(y, k)) for x, y in pairs], _limit(k, n, w))
+    return _jet(n, k, *_reduce(num, den), w)
+
+
+def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
+    """sum_i coeffs[i] * df/dx_{i+1} as a jet of order k, in one product pass.
+
+    ``k`` must not exceed the coefficients' orders.  The partials are exact
+    only to f.order - 1; a larger ``k`` is for callers whose error analysis
+    covers the missing degree, as with ``_lift``.  Each partial is built
+    straight from f's numerators and kept over f's denominator, with no jet
+    and no reduction in between.  Operands go in as ``_form`` gives them,
+    except that a partial in another key layout is repacked, dropping its
+    degrees above k.
+    """
+    n, w = f.n, _width(k)
+    pairs = []
+    for j, a in enumerate(coeffs):
+        if a._num:
+            part = _derive_terms(f._num, j, n, f._w)
+            if f._w != w:
+                part = _repack(part, n, f._w, w, k)
+            pairs.append((_form(a, k), (part, f._den)))
+    num, den = _dot_terms(pairs, _limit(k, n, w))
     return _jet(n, k, *_reduce(num, den), w)
 
 
@@ -335,6 +383,30 @@ def _linear_row(jet: "Jet") -> list["Q"]:
         c = num.get(degree_one | (1 << (w * (n - 1 - j))))
         out.append(Q(c, den) if c else _ZERO)
     return out
+
+
+def _layers(jet: "Jet") -> list[tuple[list, int]]:
+    """The homogeneous parts of ``jet`` in degrees 0..order, each as
+    (numerator items in no particular order, the jet's denominator)."""
+    shift = jet._w * jet.n
+    parts: list[list] = [[] for _ in range(jet.order + 1)]
+    for k, c in jet._num.items():
+        parts[k >> shift].append((k, c))
+    return [(part, jet._den) for part in parts]
+
+
+def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet":
+    """The jet of order ``order`` whose homogeneous parts are ``layers``.
+
+    Each layer is a reduced (numerator items, denominator) pair in the key
+    layout of ``order``, and no two share a degree, so the parts are joined
+    over the lcm of their denominators with no sums.  The result is reduced
+    too: every prime power of that lcm divides the denominator of some
+    nonempty layer, whose numerators are not all divisible by the prime.
+    """
+    den = lcm(*(d for _, d in layers))
+    num = {k: c * (den // d) for part, d in layers for k, c in part}
+    return _jet(n, order, num, den, _width(order))
 
 
 # -- jets ---------------------------------------------------------------------
@@ -596,7 +668,7 @@ class Jet:
         terms = {_unpack(k, n, self._w): c for k, c in self._num.items()}
         limit = _limit(cap, n, w)
         table = {} if _table is None else _table.setdefault(limit, {})
-        num, den = _subst_terms(terms, [g._clipped(cap) for g in images], limit,
+        num, den = _subst_terms(terms, [_sorted(g._clipped(cap)) for g in images], limit,
                                 1 << (w * n), table, limit)
         return _jet(n, cap, *_reduce(num, den * self._den), w)
 
@@ -788,7 +860,8 @@ class JetMatrix:
         set sharing them reuses: minors are built for each column subset,
         keyed by bitmask, from k = 1 upward.  Each minor is one pass of
         signed products on the integer form, reduced once, for
-        n * 2**(n-1) - n products in all (28 at n = 4).  No pivot is
+        n * 2**(n-1) - n products in all (28 at n = 4); a minor that several
+        others use is sorted for them once.  No pivot is
         inverted, so unlike elimination it needs no unit entries and costs
         no ``invert_unit``.
         """
@@ -798,16 +871,18 @@ class JetMatrix:
         forms = [[(e._num, e._den) for e in row] for row in self.rows]
         negs = [[({k: -c for k, c in num.items()}, den) for num, den in row]
                 for row in forms[:-1]]
-        minors: dict[int, tuple[dict, int]] = {}
+        minors: dict[int, tuple] = {}
         for mask in range(1, 1 << n):
             cols = [j for j in range(n) if mask >> j & 1]
             i = n - len(cols)
             if i == n - 1:
-                minors[mask] = forms[i][cols[0]]
-                continue
-            pairs = [((negs if t % 2 else forms)[i][j], minors[mask ^ (1 << j)])
-                     for t, j in enumerate(cols)]
-            minors[mask] = _reduce(*_dot_terms(pairs, limit))
+                minor = forms[i][cols[0]]
+            else:
+                pairs = [((negs if t % 2 else forms)[i][j], minors[mask ^ (1 << j)])
+                         for t, j in enumerate(cols)]
+                minor = _reduce(*_dot_terms(pairs, limit))
+            # A minor of the bottom n - i rows is used by i larger ones.
+            minors[mask] = _sorted(minor) if i > 1 else minor
         return _jet(n, order, *minors[(1 << n) - 1], w)
 
     def __eq__(self, other: object) -> bool:

@@ -1,12 +1,12 @@
 """Boundary orders and edge values of the integer-form kernel paths.
 
-Precision-doubling matrix inversion, degree-lifting map inversion, the
-common-denominator product, the truncated Horner substitution and the
+Degree-lifting matrix and map inversion, the one-pass derivation action,
+the common-denominator product, the truncated Horner substitution and the
 shared-minor determinant each have orders where their loops are empty or
 run once, and inputs where every coefficient cancels.  These tests check
 those cases against the naive oracles of ``test_jets``, which multiply
 coefficient by coefficient on the public ``terms`` with no Horner
-folding, product tables, shared minors or Newton steps.
+folding, product tables, shared minors or lifted layers.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from conftest import seeded_rng
 from jetfields import (
+    Derivation,
     DimensionMismatch,
     FormalMap,
     Jet,
@@ -28,9 +29,10 @@ from jetfields import (
     matrix_inverse,
     partial_field,
     pushforward,
+    linalg,
     random_automorphism,
 )
-from test_jets import naive_mul, naive_substitute, random_jet
+from test_jets import naive_derivative, naive_mul, naive_substitute, random_jet
 
 
 def naive_matmul(a: JetMatrix, b: JetMatrix) -> list[list[Jet]]:
@@ -68,19 +70,127 @@ def unit_matrix(rng, n: int, order: int) -> JetMatrix:
     return JetMatrix(tuple(rows))
 
 
-# -- matrix_inverse: the doubling steps fall at orders 0..3 ------------------------
+# -- matrix_inverse: the inverse is lifted one degree per layer ---------------------
+#
+# Layer d of the inverse sums d * n products, so orders 0..4 cover the
+# empty loop, a single pair and the a = d pair at several depths.
 
 
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_matrix_inverse_at_doubling_boundaries(order):
+def check_inverse(m: JetMatrix) -> JetMatrix:
+    inv = matrix_inverse(m)
+    assert inv.order == m.order
+    assert naive_matmul(m, inv) == identity_rows(m.n, m.order)
+    assert naive_matmul(inv, m) == identity_rows(m.n, m.order)
+    return inv
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_matrix_inverse_at_lifting_boundaries(order):
     rng = seeded_rng(f"matinv-boundary-{order}")
+    for n in (1, 2, 3, 4):
+        for _ in range(4 if n < 4 else 2):
+            check_inverse(unit_matrix(rng, n, order))
+
+
+def test_matrix_inverse_of_a_constant_matrix():
+    # V = I - C^-1 M is zero, so every layer above degree 0 is empty.
+    values = [[2, 1, 0], [Q(1, 3), 0, 5], [0, Q(-1, 2), 1]]
+    for order in (0, 1, 3):
+        inv = check_inverse(JetMatrix.constant(values, order))
+        assert inv == JetMatrix.constant(linalg.inverse(values), order)
+
+
+def test_matrix_inverse_of_dense_matrices():
+    # Every monomial through the order in every entry: V is as dense as X.
+    rng = seeded_rng("matinv-dense")
+    for n, order in ((1, 4), (2, 3), (3, 2)):
+        monomials = [e for e in itertools.product(range(order + 1), repeat=n) if sum(e) <= order]
+        rows = []
+        for i in range(n):
+            rows.append(tuple(
+                Jet(n, order, {e: Q(rng.randint(1, 5), rng.choice((1, 2, 3)))
+                               + (n + 1 if i == j and not any(e) else 0) for e in monomials})
+                for j in range(n)))
+        m = JetMatrix(tuple(rows))
+        assert all(len(e.terms) == len(monomials) for row in m.rows for e in row)
+        check_inverse(m)
+
+
+def test_matrix_inverse_with_non_unit_constants_and_zero_entries():
+    # sparse_matrix leaves a third of the entries zero and gives the rest
+    # constants over 1, 2 and 5, so C^-1 has non-unit denominators.
+    rng = seeded_rng("matinv-sparse")
+    seen = 0
+    while seen < 16:
+        n = rng.randint(1, 4)
+        m = sparse_matrix(rng, n, rng.randint(1, 3))
+        const = [[e.constant_term for e in row] for row in m.rows]
+        if not linalg.det(const):
+            continue
+        seen += 1
+        inv = check_inverse(m)
+        if n > 1 and any(Q(v).denominator > 1 for row in linalg.inverse(const) for v in row):
+            assert any(e.constant_term.denominator > 1 for row in inv.rows for e in row)
+
+
+@pytest.mark.parametrize("order", [255, 256, 300])
+def test_matrix_inverse_across_key_layouts(order):
+    # One variable, orders on both sides of the wider key layout.
+    m = JetMatrix(((Jet(1, order, {(0,): 3, (1,): 1, (2,): Q(1, 2), (order - 1,): -2}),),))
+    check_inverse(m)
+
+
+# -- Derivation.apply: one product pass over the raw partials ----------------------
+
+
+def naive_apply(field: Derivation, f: Jet) -> Jet:
+    k = min(field.order, f.order - 1)
+    total = Jet.zero(f.n, k)
+    for i, a in enumerate(field.coefficients, start=1):
+        total = total + naive_mul(a, naive_derivative(f, i)).truncate(k)
+    return total
+
+
+def sparse_field(rng, n: int, order: int) -> Derivation:
+    # Coefficients are zero a third of the time.
+    return Derivation(n, order, tuple(
+        Jet.zero(n, order) if rng.random() < 1 / 3 else random_jet(rng, n, order)
+        for _ in range(n)
+    ))
+
+
+def test_apply_at_every_field_order():
+    # Field orders below f.order - 1 leave the partials with degrees above
+    # the result order; orders above it leave them in the coefficients.
+    rng = seeded_rng("apply-field-orders")
     for _ in range(12):
-        n = rng.randint(1, 3)
-        m = unit_matrix(rng, n, order)
-        inv = matrix_inverse(m)
-        assert inv.order == order
-        assert naive_matmul(m, inv) == identity_rows(n, order)
-        assert naive_matmul(inv, m) == identity_rows(n, order)
+        n = rng.randint(1, 4)
+        f = random_jet(rng, n, rng.randint(1, 6))
+        for field_order in range(f.order + 2):
+            field = sparse_field(rng, n, field_order)
+            out = field.apply(f)
+            assert out.order == min(field_order, f.order - 1)
+            assert out == naive_apply(field, f)
+
+
+@pytest.mark.parametrize("f_order, field_order", [
+    (256, 300), (256, 256), (300, 255), (255, 300), (600, 300), (280, 300), (300, 3), (3, 300),
+])
+def test_apply_across_key_layouts(f_order, field_order):
+    # Jets from order 256 up pack keys in wider fields; the partials and the
+    # coefficients are moved into the layout of the result order.
+    def jet(order, terms):
+        return Jet(2, order, {e: c for e, c in terms.items() if sum(e) <= order})
+
+    f = jet(f_order, {(1, 0): 1, (2, 1): Q(3, 2), (0, 255): 5, (1, f_order - 1): -1,
+                      (f_order, 0): 2, (0, f_order): Q(1, 3)})
+    field = Derivation(2, field_order, (
+        jet(field_order, {(0, 0): Q(1, 2), (1, 0): 1, (0, field_order): 3}),
+        jet(field_order, {(1, 1): -1, (field_order - 1, 0): 2, (0, 1): Q(2, 5)}),
+    ))
+    out = field.apply(f)
+    assert out.order == min(field_order, f_order - 1)
+    assert out == naive_apply(field, f)
 
 
 # -- FormalMap.invert: the lifting loop is empty at order 1, runs once at 2 ----------

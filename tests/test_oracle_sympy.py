@@ -1,9 +1,10 @@
 """An independent oracle: sympy's polynomial algebra, truncated by degree.
 
-Substitution, determinants and Jacobian determinants are compared with
-sympy's expansion of the same polynomials, cut at the order the kernel
-claims, and every comparison also asserts that claimed order.  The whole
-module is skipped where sympy is not installed.
+Products, substitution, determinants, Jacobian matrices and determinants,
+the derivation action and matrix inversion are compared with sympy's
+expansion of the same polynomials, cut at the order the kernel claims, and
+every comparison also asserts that claimed order.  The whole module is
+skipped where sympy is not installed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from conftest import exponent_tuples, jets, rationals  # noqa: E402
-from jetfields import FormalMap, Jet, JetMatrix, Q  # noqa: E402
+from conftest import derivations, exponent_tuples, jets, rationals  # noqa: E402
+from jetfields import FormalMap, Jet, JetMatrix, Q, linalg, matrix_inverse  # noqa: E402
 
 XS = sympy.symbols("x1:5")
 EXAMPLES = settings(max_examples=25, deadline=None)
@@ -31,8 +32,8 @@ def to_sympy(f: Jet):
 
 
 def truncated_terms(expr, n: int, order: int) -> dict:
-    """The coefficients of ``expr`` through total degree ``order``."""
-    poly = sympy.Poly(sympy.expand(expr), *XS[:n])
+    """The coefficients of ``expr`` (an expression or a Poly) through total degree ``order``."""
+    poly = expr if isinstance(expr, sympy.Poly) else sympy.Poly(sympy.expand(expr), *XS[:n])
     return {e: Q(int(c.p), int(c.q)) for e, c in poly.terms() if c and sum(e) <= order}
 
 
@@ -97,3 +98,80 @@ def test_jacobian_det_matches_sympy(sigma):
     xs = XS[:sigma.n]
     jac = sympy.Matrix([[sympy.diff(to_sympy(img), x) for x in xs] for img in sigma.images])
     assert jd.terms == truncated_terms(jac.det(method="berkowitz"), sigma.n, sigma.order - 1)
+
+
+@st.composite
+def jet_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return (draw(jets(n, draw(st.integers(0, 5)), max_terms=5)),
+            draw(jets(n, draw(st.integers(0, 5)), max_terms=5)))
+
+
+@EXAMPLES
+@given(jet_pairs())
+def test_product_matches_sympy(pair):
+    f, g = pair
+    prod = f * g
+    claimed = min(f.order, g.order)
+    assert prod.order == claimed
+    assert prod.terms == truncated_terms(to_sympy(f) * to_sympy(g), f.n, claimed)
+
+
+@EXAMPLES
+@given(formal_maps())
+def test_jacobian_matrix_matches_sympy(sigma):
+    jac = sigma.jacobian_matrix()
+    assert jac.order == sigma.order - 1
+    for i, x in enumerate(XS[:sigma.n]):
+        for j, img in enumerate(sigma.images):
+            # Row index differentiates, column index picks the image.
+            expected = truncated_terms(sympy.diff(to_sympy(img), x), sigma.n, sigma.order - 1)
+            assert jac.rows[i][j].terms == expected
+
+
+@st.composite
+def invertible_matrices(draw):
+    # Entries with arbitrary higher terms on an invertible constant matrix.
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 3))
+    const = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n)
+                 .filter(lambda c: linalg.det(c) != 0))
+    return JetMatrix(tuple(
+        tuple(draw(vanishing_jets(n, order)) + c if order else Jet.constant(n, 0, c)
+              for c in row)
+        for row in const
+    ))
+
+
+@EXAMPLES
+@given(invertible_matrices())
+def test_matrix_inverse_matches_sympy(m):
+    inv = matrix_inverse(m)
+    assert inv.order == m.order
+    n = m.n
+    pm, px = ([[sympy.Poly(to_sympy(e), *XS[:n]) for e in row] for row in a.rows]
+              for a in (m, inv))
+    identity = [[{(0,) * n: Q(1)} if i == j else {} for j in range(n)] for i in range(n)]
+    for left, right in ((pm, px), (px, pm)):
+        product = [[sum((left[i][k] * right[k][j] for k in range(n)), sympy.Poly(0, *XS[:n]))
+                    for j in range(n)] for i in range(n)]
+        assert [[truncated_terms(product[i][j], n, m.order) for j in range(n)]
+                for i in range(n)] == identity
+
+
+@st.composite
+def applications(draw):
+    field = draw(derivations(n_values=(1, 2, 3, 4), order_values=(0, 1, 2, 3, 4)))
+    return field, draw(jets(field.n, draw(st.integers(1, 5)), max_terms=5))
+
+
+@EXAMPLES
+@given(applications())
+def test_derivation_apply_matches_sympy(case):
+    field, f = case
+    out = field.apply(f)
+    claimed = min(field.order, f.order - 1)
+    assert out.order == claimed
+    expr = sympy.Add(*(to_sympy(a) * sympy.diff(to_sympy(f), x)
+                       for a, x in zip(field.coefficients, XS)))
+    assert out.terms == truncated_terms(expr, f.n, claimed)
