@@ -13,7 +13,9 @@ operation works on numerators only and reduces once, by one gcd over the
 result, instead of once per coefficient.  Monomials are packed into ints
 (see ``_pack``), so a monomial product is one int addition and a degree
 test one comparison.  ``terms`` is built from the integer form on first
-use.
+use.  The canonical term order of ``str``, ``to_dict`` and iteration is
+read off the packed keys, and each coefficient is reduced by one gcd as
+it is printed.
 
 Precision is tracked per jet and every operation returns the largest
 order its result can honestly claim:
@@ -52,7 +54,6 @@ from .rationals import Q, RationalLike, as_rational
 Monomial = tuple[int, ...]
 
 _ZERO = Q(0)
-_ONE = Q(1)
 
 
 def grlex_key(exps: Monomial) -> tuple[int, tuple[int, ...]]:
@@ -62,10 +63,6 @@ def grlex_key(exps: Monomial) -> tuple[int, tuple[int, ...]]:
     variables come first (x1^2 before x1*x2 before x2^2).
     """
     return (sum(exps), tuple(-e for e in exps))
-
-
-def sorted_monomials(terms: Mapping[Monomial, "Q"]) -> list[Monomial]:
-    return sorted(terms, key=grlex_key)
 
 
 # -- packed monomials ------------------------------------------------------------
@@ -96,7 +93,7 @@ def _pack(exps: Monomial, w: int) -> int:
 
 def _unpack(key: int, n: int, w: int) -> Monomial:
     mask = (1 << w) - 1
-    return tuple((key >> (w * (n - 1 - i))) & mask for i in range(n))
+    return tuple([(key >> (w * (n - 1 - i))) & mask for i in range(n)])
 
 
 def _repack(num: dict, n: int, w_from: int, w_to: int, cap: int) -> dict:
@@ -112,6 +109,12 @@ def _repack(num: dict, n: int, w_from: int, w_to: int, cap: int) -> dict:
 # (numerators, denominator) pair; results may be unreduced and are reduced
 # by ``_reduce`` once per public operation.  Dicts are never mutated after
 # they are returned, so results may share them with their inputs.
+#
+# Argument tuples are built from lists, as in ``lcm(*[...])``, not from
+# generators: CPython 3.11 allocates a tuple built from a generator at a
+# guessed length and shrinks it, so each call parks one more block on a
+# tuple free list until a full collection, and peak memory grew with the
+# number of calls (about 55 bytes per calculator request).
 
 
 def _reduce(num: dict, den: int) -> tuple[dict, int]:
@@ -161,7 +164,7 @@ def _lincomb(pairs: Sequence[tuple[int, tuple[dict, int]]], limit: int) -> tuple
     pairs = [(c, num, d) for c, (num, d) in pairs if c and num]
     if not pairs:
         return {}, 1
-    den = lcm(*(d for _, _, d in pairs))
+    den = lcm(*[d for _, _, d in pairs])
     acc: dict = {}
     get = acc.get
     for c, num, d in pairs:
@@ -188,7 +191,7 @@ def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, 
     pairs = [(a, da * db, b) for (a, da), (b, db) in pairs if a and b]
     if not pairs:
         return {}, 1
-    den = pairs[0][1] if len(pairs) == 1 else lcm(*(d for _, d, _ in pairs))
+    den = pairs[0][1] if len(pairs) == 1 else lcm(*[d for _, d, _ in pairs])
     out: dict = {}
     get = out.get
     for a, d, b in pairs:
@@ -300,14 +303,13 @@ def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
     if w != _width(order):
         num = _repack(num, n, w, _width(order), order)
         w = _width(order)
-    obj = object.__new__(Jet)
-    _set = object.__setattr__
-    _set(obj, "n", n)
-    _set(obj, "order", order)
-    _set(obj, "_w", w)
-    _set(obj, "_num", num)
-    _set(obj, "_den", den)
-    _set(obj, "_terms", None)
+    obj = _new(Jet)
+    _set_n(obj, n)
+    _set_order(obj, order)
+    _set_w(obj, w)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    _set_terms(obj, None)
     return obj
 
 
@@ -404,7 +406,7 @@ def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet
     too: every prime power of that lcm divides the denominator of some
     nonempty layer, whose numerators are not all divisible by the prime.
     """
-    den = lcm(*(d for _, d in layers))
+    den = lcm(*[d for _, d in layers])
     num = {k: c * (den // d) for part, d in layers for k, c in part}
     return _jet(n, order, num, den, _width(order))
 
@@ -432,18 +434,17 @@ class Jet:
             if c:
                 canon[e] = c
         w = _width(order)
-        den = lcm(*(int(c.denominator) for c in canon.values()))
+        den = lcm(*[int(c.denominator) for c in canon.values()])
         num = {
             _pack(e, w): int(c.numerator) * (den // int(c.denominator))
             for e, c in canon.items()
         }
-        _set = object.__setattr__
-        _set(self, "n", n)
-        _set(self, "order", order)
-        _set(self, "_w", w)
-        _set(self, "_num", num)
-        _set(self, "_den", den)
-        _set(self, "_terms", canon)
+        _set_n(self, n)
+        _set_order(self, order)
+        _set_w(self, w)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_terms(self, canon)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"jets are immutable; cannot set {name!r}")
@@ -491,7 +492,7 @@ class Jet:
         if t is None:
             n, w, den = self.n, self._w, self._den
             t = {_unpack(k, n, w): Q(c, den) for k, c in self._num.items()}
-            object.__setattr__(self, "_terms", t)
+            _set_terms(self, t)
         return t
 
     @property
@@ -513,9 +514,23 @@ class Jet:
         return min(self._num) >> (self._w * self.n)
 
     def __iter__(self) -> Iterator[tuple[Monomial, "Q"]]:
-        terms = self.terms
-        for e in sorted_monomials(terms):
-            yield e, terms[e]
+        n, w = self.n, self._w
+        for k, p, q in self._walk():
+            yield _unpack(k, n, w), Q(p, q)
+
+    def _walk(self) -> Iterator[tuple[int, int, int]]:
+        """(packed key, p, q) per term in canonical order, with p/q reduced.
+
+        The canonical order is read off the packed keys: flipping their
+        exponent fields keeps the degree field on top and puts higher powers
+        of earlier variables first, so the flipped keys sort ascending in
+        ``grlex_key`` order.
+        """
+        num, den, n, w = self._num, self._den, self.n, self._w
+        for k in sorted(num, key=((1 << (w * n)) - 1).__xor__):
+            c = num[k]
+            g = gcd(c, den)
+            yield k, c // g, den // g
 
     def _clipped(self, k: int) -> tuple[dict, int]:
         """Reduced integer form of this jet truncated to order k <= self.order,
@@ -649,7 +664,8 @@ class Jet:
         defined along the adic topology.  All images must live in the same
         ring as this jet.  ``_table`` is for callers that substitute many
         jets along the same images: a dict shared by those calls, which
-        keeps the products of the images that the evaluation reuses.
+        keeps, per limit, the images sorted for reuse (``_sorted``) and the
+        products of the images that the evaluation reuses.
         """
         if len(images) != self.n:
             raise DimensionMismatch(
@@ -667,9 +683,12 @@ class Jet:
         n, w = self.n, _width(cap)
         terms = {_unpack(k, n, self._w): c for k, c in self._num.items()}
         limit = _limit(cap, n, w)
-        table = {} if _table is None else _table.setdefault(limit, {})
-        num, den = _subst_terms(terms, [_sorted(g._clipped(cap)) for g in images], limit,
-                                1 << (w * n), table, limit)
+        shared = None if _table is None else _table.get(limit)
+        if shared is None:
+            shared = [_sorted(g._clipped(cap)) for g in images], {}
+            if _table is not None:
+                _table[limit] = shared
+        num, den = _subst_terms(terms, shared[0], limit, 1 << (w * n), shared[1], limit)
         return _jet(n, cap, *_reduce(num, den * self._den), w)
 
     def invert_unit(self) -> "Jet":
@@ -699,17 +718,13 @@ class Jet:
     # serialization
 
     def to_dict(self) -> dict:
-        terms = self.terms
+        n, w = self.n, self._w
         return {
-            "n": self.n,
+            "n": n,
             "order": self.order,
             "terms": [
-                {
-                    "exp": list(e),
-                    "num": str(int(terms[e].numerator)),
-                    "den": str(int(terms[e].denominator)),
-                }
-                for e in sorted_monomials(terms)
+                {"exp": list(_unpack(k, n, w)), "num": str(p), "den": str(q)}
+                for k, p, q in self._walk()
             ],
         }
 
@@ -740,23 +755,26 @@ class Jet:
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        terms = self.terms
+        n, w = self.n, self._w
+        mask = (1 << w) - 1
+        names = [(w * (n - 1 - i), f"x{i + 1}") for i in range(n)]
         parts: list[str] = []
-        for e in sorted_monomials(terms):
-            c = terms[e]
-            neg = c < 0
-            mag = -c if neg else c
-            factors = [
-                f"x{i + 1}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(e)
-                if p
-            ]
+        for k, p, q in self._walk():
+            neg = p < 0
+            if neg:
+                p = -p
+            mag = str(p) if q == 1 else f"{p}/{q}"
+            factors = []
+            for shift, name in names:
+                e = (k >> shift) & mask
+                if e:
+                    factors.append(f"{name}^{e}" if e > 1 else name)
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = mag + "*" + "*".join(factors)
             if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:
@@ -765,6 +783,14 @@ class Jet:
 
     def __repr__(self) -> str:
         return f"<Jet n={self.n} order={self.order}: {self}>"
+
+
+# Slot setters bound once, so building a jet makes no ``__setattr__`` lookups
+# (``Jet.__setattr__`` raises, to keep jets immutable).
+_new = object.__new__
+_set_n, _set_order, _set_w, _set_num, _set_den, _set_terms = (
+    getattr(Jet, slot).__set__ for slot in Jet.__slots__
+)
 
 
 # -- matrices of jets ----------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
@@ -40,8 +41,8 @@ from .errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from .jets import (Jet, JetMatrix, Monomial, _apply_partials, _dot_terms, _join_layers,
-                   _layers, _lift, _limit, _linear_row, _reduce, _width)
+from .jets import (Jet, JetMatrix, Monomial, _apply_partials, _dot_terms, _jet, _join_layers,
+                   _layers, _lift, _limit, _lincomb, _linear_row, _reduce, _width)
 from .rationals import Q, RationalLike, as_rational
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,13 +165,22 @@ class FormalMap:
                 "map has a singular linear part, so no formal inverse exists"
             ) from None
         n, cap = self.n, self.order
+        # The rows of A^-1, each as integers over the lcm of its denominators.
+        rows = []
+        for row in ainv:
+            d = lcm(*[int(c.denominator) for c in row])
+            rows.append(([int(c.numerator) * (d // int(c.denominator)) for c in row], d))
 
         def solve(rhs: list[Jet], k: int) -> list[Jet]:
-            # A^-1 applied to a column of jets of order k.
-            return [
-                sum((ainv[i][j] * rhs[j] for j in range(n)), Jet.zero(n, k))
-                for i in range(n)
-            ]
+            # A^-1 applied to a column of jets of order k, one pass per row.
+            w = _width(k)
+            limit = _limit(k, n, w)
+            forms = [(g._num, g._den) for g in rhs]
+            out = []
+            for coeffs, d in rows:
+                num, den = _lincomb(list(zip(coeffs, forms)), limit)
+                out.append(_jet(n, k, *_reduce(num, den * d), w))
+            return out
 
         xs = [Jet.variable(n, cap, i + 1) for i in range(n)]
         higher = [

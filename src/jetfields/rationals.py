@@ -45,8 +45,3 @@ def as_rational(value: RationalLike) -> "Q":
     if isinstance(value, (int, Rational)):
         return Q(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def rational_str(value: Rational) -> str:
-    """Canonical reduced string, ``p`` or ``p/q`` with q > 0."""
-    return str(value)

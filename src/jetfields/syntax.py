@@ -22,17 +22,22 @@ the origin.
 ``str`` of a jet, matrix, field or map emits the canonical form these
 parsers round-trip: ascending total degree, earlier variables first
 within a degree, reduced coefficients, " + " / " - " joins.
+
+Parsing builds a jet's integer form directly: each term is read as an
+integer pair (p, q) and a packed monomial key, the pairs are summed per
+key, and the jet is made once over the lcm of the denominators, with no
+rational arithmetic and no per-term validation beyond the grammar's own.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 
 from .errors import ParseError
 from .fields import Derivation
-from .jets import Jet, Monomial
+from .jets import Jet, _check_ring, _jet, _reduce, _width
 from .maps import FormalMap
-from .rationals import Q
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -41,37 +46,33 @@ _TOKEN_RE = re.compile(
     r"|(?P<dsym>d\d+)"
     r"|(?P<int>\d+)"
     r"|(?P<op>[+\-*/^();])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of ``text`` as (kind, value, position) tuples, ending in "end".
 
-    def __init__(self, kind: str, value, pos: int) -> None:
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Token]:
+    Operators and "->" are their own kind; variables and field symbols
+    carry their index, integers their value.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            value: object = m.group()
-            if kind == "int":
-                value = int(value)
-            elif kind in ("var", "dsym"):
-                value = int(m.group()[1:])
-            elif kind == "op":
-                kind = m.group()
-            tokens.append(_Token(kind, value, pos))
-        pos = m.end()
-    tokens.append(_Token("end", None, len(text)))
+        if kind == "ws":
+            continue
+        s = m.group()
+        if kind == "op" or kind == "arrow":
+            append((s, s, m.start()))
+        elif kind == "int":
+            append((kind, int(s), m.start()))
+        elif kind == "var" or kind == "dsym":
+            append((kind, int(s[1:]), m.start()))
+        else:
+            raise ParseError(f"unexpected character {s!r}", m.start())
+    append(("end", None, len(text)))
     return tokens
 
 
@@ -81,123 +82,130 @@ class _Parser:
             raise ValueError("variable count must be positive")
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        self.text = text
         self.n = n
         self.order = order
+        self.w = _width(order)
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def take(self) -> _Token:
+    def expect(self, kind: str, what: str) -> tuple:
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
         self.i += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return self.take()
-
     def fail(self, message: str) -> None:
-        raise ParseError(message, self.peek().pos)
+        raise ParseError(message, self.peek()[2])
 
     # series
 
     def parse_series(self, stop: tuple[str, ...]) -> Jet:
-        terms: dict[Monomial, Q] = {}
+        # Packed key -> (p, q), summed unreduced; zero sums drop out at the end.
+        acc: dict[int, tuple[int, int]] = {}
         sign = self._leading_sign()
         while True:
-            exps, coeff = self._term()
-            coeff = coeff if sign > 0 else -coeff
-            prev = terms.get(exps)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                terms[exps] = total
-            elif prev is not None:
-                del terms[exps]
-            tok = self.peek()
-            if tok.kind in stop:
+            key, p, q = self._term()
+            if sign < 0:
+                p = -p
+            prev = acc.get(key)
+            if prev is not None:
+                p0, q0 = prev
+                p, q = (p0 + p, q) if q0 == q else (p0 * q + p * q0, q0 * q)
+            acc[key] = p, q
+            kind = self.peek()[0]
+            if kind in stop:
                 break
-            if tok.kind in ("+", "-"):
-                sign = 1 if tok.kind == "+" else -1
-                self.take()
+            if kind == "+" or kind == "-":
+                sign = 1 if kind == "+" else -1
+                self.i += 1
                 continue
             self.fail("expected '+', '-', or end of series")
-        return Jet(self.n, self.order, terms)
+        terms = [(k, p, q) for k, (p, q) in acc.items() if p]
+        den = lcm(*[q for _, _, q in terms])
+        num = {k: p * (den // q) for k, p, q in terms}
+        _check_ring(self.n, self.order)
+        return _jet(self.n, self.order, *_reduce(num, den), self.w)
 
     def _leading_sign(self) -> int:
-        tok = self.peek()
-        if tok.kind in ("+", "-"):
-            self.take()
-            return 1 if tok.kind == "+" else -1
+        kind = self.peek()[0]
+        if kind == "+" or kind == "-":
+            self.i += 1
+            return 1 if kind == "+" else -1
         return 1
 
-    def _term(self) -> tuple[Monomial, "Q"]:
-        start = self.peek().pos
-        if self.peek().kind == "int":
-            coeff = self._rational()
-            if self.peek().kind == "*":
-                self.take()
-                exps = self._factors()
+    def _term(self) -> tuple[int, int, int]:
+        """One term as (packed monomial key, p, q) with q > 0."""
+        kind, _, start = self.peek()
+        if kind == "int":
+            p, q = self._rational()
+            if self.peek()[0] == "*":
+                self.i += 1
+                key, degree = self._factors()
             else:
-                exps = (0,) * self.n
-        elif self.peek().kind == "var":
-            coeff = Q(1)
-            exps = self._factors()
+                key = degree = 0
+        elif kind == "var":
+            p = q = 1
+            key, degree = self._factors()
         else:
             self.fail("expected a rational or a variable")
-        if sum(exps) > self.order:
+        if degree > self.order:
             raise ParseError(
-                f"term of degree {sum(exps)} exceeds truncation order {self.order}",
+                f"term of degree {degree} exceeds truncation order {self.order}",
                 start,
             )
-        return exps, coeff
+        return key | degree << (self.w * self.n), p, q
 
-    def _rational(self) -> "Q":
-        num = self.expect("int", "an integer").value
-        if self.peek().kind == "/":
-            self.take()
-            den_tok = self.expect("int", "a denominator")
-            if den_tok.value == 0:
-                raise ParseError("zero denominator", den_tok.pos)
-            return Q(num, den_tok.value)
-        return Q(num)
+    def _rational(self) -> tuple[int, int]:
+        num = self.expect("int", "an integer")[1]
+        if self.peek()[0] == "/":
+            self.i += 1
+            _, den, pos = self.expect("int", "a denominator")
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            return num, den
+        return num, 1
 
-    def _factors(self) -> Monomial:
-        exps = [0] * self.n
+    def _factors(self) -> tuple[int, int]:
+        """A product of powers as (exponent fields of its packed key, degree).
+
+        A field can overflow only when the degree exceeds the order, which
+        the caller rejects before the key is used.
+        """
+        n, w = self.n, self.w
+        key = degree = 0
         while True:
-            tok = self.expect("var", "a variable like x1")
-            idx = tok.value
-            if not 1 <= idx <= self.n:
+            _, idx, pos = self.expect("var", "a variable like x1")
+            if not 1 <= idx <= n:
                 raise ParseError(
-                    f"unknown variable x{idx} (ring has {self.n} variable"
-                    f"{'s' if self.n != 1 else ''})",
-                    tok.pos,
+                    f"unknown variable x{idx} (ring has {n} variable"
+                    f"{'s' if n != 1 else ''})",
+                    pos,
                 )
             power = 1
-            if self.peek().kind == "^":
-                self.take()
-                ptok = self.expect("int", "an integer exponent")
-                if ptok.value < 1:
-                    raise ParseError("exponent must be >= 1", ptok.pos)
-                power = ptok.value
-            exps[idx - 1] += power
-            if self.peek().kind == "*" and self.tokens[self.i + 1].kind == "var":
-                self.take()
+            if self.peek()[0] == "^":
+                self.i += 1
+                _, power, ppos = self.expect("int", "an integer exponent")
+                if power < 1:
+                    raise ParseError("exponent must be >= 1", ppos)
+            key += power << (w * (n - idx))
+            degree += power
+            if self.peek()[0] == "*" and self.tokens[self.i + 1][0] == "var":
+                self.i += 1
                 continue
             break
-        return tuple(exps)
+        return key, degree
 
     # fields
 
     def parse_field(self) -> Derivation:
         coeffs = [Jet.zero(self.n, self.order) for _ in range(self.n)]
         first = self.peek()
-        if first.kind == "int" and first.value == 0 and self.tokens[self.i + 1].kind == "end":
-            self.take()
+        if first[:2] == ("int", 0) and self.tokens[self.i + 1][0] == "end":
+            self.i += 1
             return Derivation(self.n, self.order, tuple(coeffs))
         while True:
             sign = self._leading_sign()
@@ -205,19 +213,18 @@ class _Parser:
             series = self.parse_series(stop=(")",))
             self.expect(")", "')'")
             self.expect("*", "'*' before the field symbol")
-            tok = self.expect("dsym", "a field symbol like d1")
-            idx = tok.value
+            _, idx, pos = self.expect("dsym", "a field symbol like d1")
             if not 1 <= idx <= self.n:
                 raise ParseError(
                     f"unknown field symbol d{idx} (ring has {self.n} variable"
                     f"{'s' if self.n != 1 else ''})",
-                    tok.pos,
+                    pos,
                 )
             coeffs[idx - 1] = coeffs[idx - 1] + (series if sign > 0 else -series)
-            nxt = self.peek()
-            if nxt.kind == "end":
+            kind = self.peek()[0]
+            if kind == "end":
                 break
-            if nxt.kind in ("+", "-"):
+            if kind == "+" or kind == "-":
                 continue
             self.fail("expected '+', '-', or end of field")
         return Derivation(self.n, self.order, tuple(coeffs))
@@ -227,18 +234,17 @@ class _Parser:
     def parse_map(self) -> FormalMap:
         images: dict[int, Jet] = {}
         while True:
-            tok = self.expect("var", "a variable like x1 starting a rule")
-            idx = tok.value
+            _, idx, pos = self.expect("var", "a variable like x1 starting a rule")
             if not 1 <= idx <= self.n:
                 raise ParseError(
                     f"unknown variable x{idx} (ring has {self.n} variable"
                     f"{'s' if self.n != 1 else ''})",
-                    tok.pos,
+                    pos,
                 )
             if idx in images:
-                raise ParseError(f"duplicate rule for x{idx}", tok.pos)
-            self.expect("arrow", "'->'")
-            start = self.peek().pos
+                raise ParseError(f"duplicate rule for x{idx}", pos)
+            self.expect("->", "'->'")
+            start = self.peek()[2]
             series = self.parse_series(stop=(";", "end"))
             if series.constant_term:
                 raise ParseError(
@@ -247,8 +253,8 @@ class _Parser:
                     start,
                 )
             images[idx] = series
-            if self.peek().kind == ";":
-                self.take()
+            if self.peek()[0] == ";":
+                self.i += 1
                 continue
             break
         missing = [f"x{k}" for k in range(1, self.n + 1) if k not in images]
@@ -256,16 +262,16 @@ class _Parser:
             raise ParseError(
                 f"missing map rule{'s' if len(missing) > 1 else ''} for "
                 + ", ".join(missing),
-                self.peek().pos,
+                self.peek()[2],
             )
         return FormalMap(
             self.n, self.order, tuple(images[k] for k in range(1, self.n + 1))
         )
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.pos)
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("unexpected trailing input", pos)
 
 
 def parse_series(text: str, n: int, order: int) -> Jet:

@@ -7,6 +7,7 @@ module doubles as a checklist.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -39,6 +40,9 @@ from jetfields import (
 
 GRID = [(n, order) for n in (1, 2, 3) for order in (3, 4, 5)]
 
+# sha256 of what `jetfields verify --json` prints for the default config.
+DEFAULT_REPORT_SHA256 = "4f703104267636cfae641536abb1621ec53bbc6457a60f2141b8a1e4b80e8714"
+
 
 def report(index: int, label: str, ok: bool) -> None:
     print(f"CRITERION {index} ({label}): {'PASS' if ok else 'FAIL'}")
@@ -55,6 +59,8 @@ def test_criterion_1_identity_suite_green():
     ok = result.unexpected_failures == 0 and elapsed < 60.0
     print(f"suite: {result.summary_line()} in {elapsed:.1f}s")
     report(1, "identity suite green under 60s", ok)
+    digest = hashlib.sha256((result.to_json() + "\n").encode()).hexdigest()
+    assert digest == DEFAULT_REPORT_SHA256, "the default verify --json report changed"
 
 
 # 2 -- worked examples, bit-exact

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import derivations, jets, seeded_rng
 from jetfields import (
@@ -11,6 +14,7 @@ from jetfields import (
     FormalMap,
     Jet,
     ParseError,
+    grlex_key,
     parse_field,
     parse_map,
     parse_series,
@@ -169,3 +173,165 @@ def test_format_matrix():
     m = JetMatrix.identity(2, 2)
     assert str(m) == "[[1, 0], [0, 1]]"
 
+
+# -- the text boundary against a naive reference ------------------------------------
+#
+# str, to_dict and iteration walk the integer form in packed-key order; the
+# reference reads the rational ``terms`` and sorts them by ``grlex_key``.
+
+
+def naive_str(jet: Jet) -> str:
+    parts = []
+    for e in sorted(jet.terms, key=grlex_key):
+        c = Fraction(jet.terms[e])
+        mag = abs(c)
+        factors = [f"x{i + 1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e) if p]
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        sign = "-" if c < 0 else "+"
+        parts.append((f"-{body}" if c < 0 else body) if not parts else f" {sign} {body}")
+    return "".join(parts) or "0"
+
+
+WIDE = 2**70  # numerators and denominators above 64 bits
+
+
+@st.composite
+def wide_jets(draw):
+    """Jets for n = 1..4 at orders on both sides of the key-width change."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from((0, 1, 255, 256, 300)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        room, exps = order, []
+        for _ in range(n):
+            e = draw(st.integers(0, room) | st.integers(0, min(room, 2)))
+            exps.append(e)
+            room -= e
+        num = draw(st.integers(-3, 3) | st.integers(-WIDE, WIDE))
+        den = draw(st.sampled_from((1, 2, 3, 6)) | st.integers(1, WIDE))
+        terms[tuple(draw(st.permutations(exps)))] = Fraction(num, den)
+    return Jet(n, order, terms)
+
+
+@given(wide_jets())
+@settings(max_examples=150, deadline=None)
+def test_str_matches_the_naive_formatter(f):
+    assert str(f) == naive_str(f)
+
+
+@given(wide_jets())
+@settings(max_examples=100, deadline=None)
+def test_wide_round_trip(f):
+    text = str(f)
+    back = parse_series(text, f.n, f.order)
+    assert back == f
+    assert str(back) == text
+
+
+@given(wide_jets())
+@settings(max_examples=60, deadline=None)
+def test_to_dict_and_iteration_walk_the_canonical_order(f):
+    order = sorted(f.terms, key=grlex_key)
+    assert [e for e, _ in f] == order
+    assert [c for _, c in f] == [f.terms[e] for e in order]
+    assert f.to_dict()["terms"] == [
+        {"exp": list(e), "num": str(f.terms[e].numerator), "den": str(f.terms[e].denominator)}
+        for e in order
+    ]
+    assert Jet.from_dict(f.to_dict()) == f
+
+
+def test_canonical_order_and_coefficients():
+    f = Jet(3, 3, {(0, 0, 1): 1, (0, 1, 0): -1, (1, 0, 0): "2/4", (0, 0, 0): -3,
+                   (1, 1, 0): "-6/4", (2, 0, 0): 1, (0, 2, 1): "1/3", (3, 0, 0): 5})
+    assert str(f) == ("-3 + 1/2*x1 - x2 + x3 + x1^2 - 3/2*x1*x2 + 5*x1^3"
+                      " + 1/3*x2^2*x3")
+    assert str(Jet.constant(2, 0, "-7/3")) == "-7/3"
+    assert str(Jet.zero(4, 300)) == "0"
+    assert str(Jet.monomial(2, 300, (1, 299), -1)) == "-x1*x2^299"
+
+
+def test_duplicate_monomials_cancel_and_reappear():
+    assert parse_series("x1 - x1", 2, 3) == Jet.zero(2, 3)
+    assert parse_series("1/2*x1*x2 - 2/4*x1*x2", 2, 3) == Jet.zero(2, 3)
+    assert parse_series("x1 - x1 + 2*x1", 2, 3) == Jet(2, 3, {(1, 0): 2})
+    assert parse_series("1/3*x1 - 1/3*x1 + 1/6*x1 - x2 + x2", 2, 3) == Jet(2, 3, {(1, 0): "1/6"})
+    assert parse_series("x1*x2 - x2*x1 + 1 - 1", 2, 3) == Jet.zero(2, 3)
+    assert parse_series("1/2 + 1/3 + 1/6 - 1", 1, 2) == Jet.zero(1, 2)
+    assert str(parse_series("3/4*x1 - 1/4*x1 + 0*x2 + 0/5", 2, 3)) == "1/2*x1"
+    assert str(parse_series("-x2^2 + 2*x1*x2 - x2^2 + 2*x2^2", 2, 3)) == "2*x1*x2"
+    assert parse_series("x1^2*x1", 1, 3) == Jet.monomial(1, 3, (3,))
+
+
+# Each bad input with the exact position and message it gives.
+PARSE_ERRORS = [
+    (parse_series, "x1 ? 2", 2, 3, 3, "col 4: unexpected character '?'"),
+    (parse_series, "1.5", 2, 3, 1, "col 2: unexpected character '.'"),
+    (parse_series, "x1 +é", 2, 3, 4, "col 5: unexpected character 'é'"),
+    (parse_series, "x + 1", 2, 3, 0, "col 1: unexpected character 'x'"),
+    (parse_series, "2*x", 2, 3, 2, "col 3: unexpected character 'x'"),
+    (parse_series, "x0", 2, 3, 0, "col 1: unknown variable x0 (ring has 2 variables)"),
+    (parse_series, "x1 + x3", 2, 3, 5, "col 6: unknown variable x3 (ring has 2 variables)"),
+    (parse_series, "x2", 1, 3, 0, "col 1: unknown variable x2 (ring has 1 variable)"),
+    (parse_series, "1/0 + x1", 2, 3, 2, "col 3: zero denominator"),
+    (parse_series, "x1 - 3/0*x2", 2, 3, 7, "col 8: zero denominator"),
+    (parse_series, "x1^0", 2, 3, 3, "col 4: exponent must be >= 1"),
+    (parse_series, "x2 + x1^0*x2", 2, 3, 8, "col 9: exponent must be >= 1"),
+    (parse_series, "x1^2*x2^2", 2, 3, 0,
+     "col 1: term of degree 4 exceeds truncation order 3"),
+    (parse_series, "1 - 2*x1^4", 1, 3, 4,
+     "col 5: term of degree 4 exceeds truncation order 3"),
+    (parse_series, "x1^300", 2, 3, 0,
+     "col 1: term of degree 300 exceeds truncation order 3"),
+    (parse_series, "x1*", 2, 3, 2, "col 3: expected '+', '-', or end of series"),
+    (parse_series, "2*", 2, 3, 2, "col 3: expected a variable like x1"),
+    (parse_series, "x1 + 2*x2*", 2, 3, 9, "col 10: expected '+', '-', or end of series"),
+    (parse_series, "", 2, 3, 0, "col 1: expected a rational or a variable"),
+    (parse_series, "x1 +", 2, 3, 4, "col 5: expected a rational or a variable"),
+    (parse_series, "x1 x2", 2, 3, 3, "col 4: expected '+', '-', or end of series"),
+    (parse_series, "(x1)", 2, 3, 0, "col 1: expected a rational or a variable"),
+    (parse_series, "x1^", 2, 3, 3, "col 4: expected an integer exponent"),
+    (parse_series, "1/", 2, 3, 2, "col 3: expected a denominator"),
+    (parse_series, "x1 )", 2, 3, 3, "col 4: expected '+', '-', or end of series"),
+    (parse_series, "x1 -> x1", 2, 3, 3, "col 4: expected '+', '-', or end of series"),
+    (parse_series, "d1", 2, 3, 0, "col 1: expected a rational or a variable"),
+    (parse_field, "(x1)*d3", 2, 3, 5, "col 6: unknown field symbol d3 (ring has 2 variables)"),
+    (parse_field, "(x1)*d0", 2, 3, 5, "col 6: unknown field symbol d0 (ring has 2 variables)"),
+    (parse_field, "(x1)*d2", 1, 3, 5, "col 6: unknown field symbol d2 (ring has 1 variable)"),
+    (parse_field, "x1*d1", 2, 3, 0, "col 1: expected '(' opening a coefficient series"),
+    (parse_field, "(x1)d1", 2, 3, 4, "col 5: expected '*' before the field symbol"),
+    (parse_field, "(x1)*d1 +", 2, 3, 9, "col 10: expected '(' opening a coefficient series"),
+    (parse_field, "(x1)*", 2, 3, 5, "col 6: expected a field symbol like d1"),
+    (parse_field, "d1", 2, 3, 0, "col 1: expected '(' opening a coefficient series"),
+    (parse_field, "(x1)*d1 x2", 1, 3, 8, "col 9: expected '+', '-', or end of field"),
+    (parse_field, "(x1 + )*d1", 2, 3, 6, "col 7: expected a rational or a variable"),
+    (parse_field, "(x1^4)*d1", 2, 3, 1, "col 2: term of degree 4 exceeds truncation order 3"),
+    (parse_map, "x1 -> x2", 2, 3, 8, "col 9: missing map rule for x2"),
+    (parse_map, "x2 -> x1", 3, 3, 8, "col 9: missing map rules for x1, x3"),
+    (parse_map, "x1 -> x2; x1 -> x1", 2, 3, 10, "col 11: duplicate rule for x1"),
+    (parse_map, "x1 -> 1 + x1", 1, 3, 6,
+     "col 7: image of x1 has nonzero constant term 1; maps must fix the origin"),
+    (parse_map, "x1 -> x1 - 1/2", 1, 3, 6,
+     "col 7: image of x1 has nonzero constant term -1/2; maps must fix the origin"),
+    (parse_map, "x1 -> x1;", 1, 3, 9, "col 10: expected a variable like x1 starting a rule"),
+    (parse_map, "x1 x1", 1, 3, 3, "col 4: expected '->'"),
+    (parse_map, "x3 -> x1; x2 -> x2", 2, 3, 0,
+     "col 1: unknown variable x3 (ring has 2 variables)"),
+    (parse_map, "x1 -> x1 extra", 1, 3, 9, "col 10: unexpected character 'e'"),
+    (parse_map, "x1 -> x1 ; x2 -> x2^4", 2, 3, 17,
+     "col 18: term of degree 4 exceeds truncation order 3"),
+    (parse_map, "-> x1", 1, 3, 0, "col 1: expected a variable like x1 starting a rule"),
+]
+
+
+@pytest.mark.parametrize("fn, text, n, order, pos, message", PARSE_ERRORS)
+def test_parse_error_text_and_position(fn, text, n, order, pos, message):
+    with pytest.raises(ParseError) as err:
+        fn(text, n, order)
+    assert err.value.pos == pos
+    assert str(err.value) == message
