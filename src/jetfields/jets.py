@@ -72,11 +72,18 @@ def grlex_key(exps: Monomial) -> tuple[int, tuple[int, ...]]:
 # the total degree, which is at most the truncation order < 2**w, so adding
 # two keys multiplies the monomials without a carry between fields, and a
 # key has degree <= cap exactly when it is below ``_limit(cap, n, w)``.
-# The width depends only on the order, so jets of orders below 256 share
-# one layout; keys are repacked when an operation crosses layouts.
+# The width depends only on the order, in three tiers: 4 bits below order
+# 16, 8 bits below 256, and ``order.bit_length()`` from 256 up.  The 4-bit
+# tier keeps a key in n <= 6 variables within 4n + 4 <= 28 bits, one
+# 30-bit CPython digit, so each multiply-add in the product loops adds,
+# hashes and stores a one-digit int, and the low bits a dict indexes by
+# vary.  Jets of orders within one tier share a layout; keys are repacked
+# when an operation crosses tiers.
 
 
 def _width(order: int) -> int:
+    if order < 16:
+        return 4
     return 8 if order < 256 else order.bit_length()
 
 

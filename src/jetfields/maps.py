@@ -183,9 +183,12 @@ class FormalMap:
             return out
 
         xs = [Jet.variable(n, cap, i + 1) for i in range(n)]
+        # h = sigma - A x: the images with their degree-1 terms dropped.
+        shift = _width(cap) * n
         higher = [
-            img - sum((a[i][j] * xs[j] for j in range(n)), Jet.zero(n, cap))
-            for i, img in enumerate(self.images)
+            _jet(n, cap, *_reduce({k: c for k, c in img._num.items() if k >> shift != 1},
+                                  img._den), img._w)
+            for img in self.images
         ]
         w = solve([x.truncate(1) for x in xs], 1)
         for k in range(2, cap + 1):

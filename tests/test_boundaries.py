@@ -32,6 +32,7 @@ from jetfields import (
     linalg,
     random_automorphism,
 )
+from jetfields.jets import _jet, _pack, _unpack
 from test_jets import naive_derivative, naive_mul, naive_substitute, random_jet
 
 
@@ -133,9 +134,9 @@ def test_matrix_inverse_with_non_unit_constants_and_zero_entries():
             assert any(e.constant_term.denominator > 1 for row in inv.rows for e in row)
 
 
-@pytest.mark.parametrize("order", [255, 256, 300])
+@pytest.mark.parametrize("order", [15, 16, 255, 256, 300])
 def test_matrix_inverse_across_key_layouts(order):
-    # One variable, orders on both sides of the wider key layout.
+    # One variable, orders on both sides of the 8-bit and the wider key layouts.
     m = JetMatrix(((Jet(1, order, {(0,): 3, (1,): 1, (2,): Q(1, 2), (order - 1,): -2}),),))
     check_inverse(m)
 
@@ -175,15 +176,17 @@ def test_apply_at_every_field_order():
 
 @pytest.mark.parametrize("f_order, field_order", [
     (256, 300), (256, 256), (300, 255), (255, 300), (600, 300), (280, 300), (300, 3), (3, 300),
+    (16, 16), (17, 16), (16, 15), (15, 16), (16, 3), (3, 16), (40, 15), (15, 300),
 ])
 def test_apply_across_key_layouts(f_order, field_order):
-    # Jets from order 256 up pack keys in wider fields; the partials and the
-    # coefficients are moved into the layout of the result order.
+    # Orders below 16 pack keys in 4-bit fields and orders from 256 up in
+    # wider ones; the partials and the coefficients are moved into the
+    # layout of the result order.
     def jet(order, terms):
         return Jet(2, order, {e: c for e, c in terms.items() if sum(e) <= order})
 
-    f = jet(f_order, {(1, 0): 1, (2, 1): Q(3, 2), (0, 255): 5, (1, f_order - 1): -1,
-                      (f_order, 0): 2, (0, f_order): Q(1, 3)})
+    f = jet(f_order, {(1, 0): 1, (2, 1): Q(3, 2), (0, 255): 5, (0, 15): 4, (8, 8): -3,
+                      (1, f_order - 1): -1, (f_order, 0): 2, (0, f_order): Q(1, 3)})
     field = Derivation(2, field_order, (
         jet(field_order, {(0, 0): Q(1, 2), (1, 0): 1, (0, field_order): 3}),
         jet(field_order, {(1, 1): -1, (field_order - 1, 0): 2, (0, 1): Q(2, 5)}),
@@ -312,12 +315,94 @@ def test_orders_across_key_layouts():
     assert big.coefficient((299,)) == 2
 
 
+@pytest.mark.parametrize("low, high", [(15, 16), (3, 16), (15, 255), (15, 300), (3, 15)])
+def test_mixed_orders_across_key_layouts(low, high):
+    # Orders below 16 pack exponents in 4-bit fields, so x^15 fills one
+    # and x^16 needs the 8-bit layout.
+    def jet(order, terms):
+        return Jet(2, order, {e: c for e, c in terms.items() if sum(e) <= order})
+
+    terms = {(1, 0): 1, (0, 1): Q(-1, 2), (7, 8): 3, (15, 0): Q(2, 3), (0, 15): -1,
+             (8, 8): 5, (16, 0): 7, (1, 15): Q(1, 5)}
+    hi, lo = jet(high, terms), jet(low, {e: c * 2 for e, c in terms.items()})
+    assert hi.terms == {e: c for e, c in terms.items() if sum(e) <= high}
+    for a, b in ((hi, lo), (lo, hi)):
+        assert a * b == naive_mul(a, b)
+        assert (a + b).terms == {e: c * 3 for e, c in terms.items() if sum(e) <= low}
+        assert (a - b).order == low
+    assert hi.truncate(low) == jet(low, terms)
+    assert hi.truncate(low).truncate(1) == jet(1, terms)
+    assert hi.equal_at(lo * Q(1, 2), low)
+    assert not hi.equal_at(lo, low)
+    assert hi.partial_derivative(1) == naive_derivative(hi, 1)
+    assert hi.partial_derivative(2) == naive_derivative(hi, 2)
+
+
+def test_derivative_of_a_full_field_power():
+    # x^16 at order 16 is the first power that a 4-bit field cannot hold.
+    assert Jet(1, 16, {(16,): 1}).partial_derivative(1) == Jet(1, 15, {(15,): 16})
+    assert Jet(2, 16, {(16, 0): 1, (1, 15): 2}).partial_derivative(2) == Jet(
+        2, 15, {(1, 14): 30})
+    assert Jet(1, 15, {(15,): 1}).partial_derivative(1) == Jet(1, 14, {(14,): 15})
+    assert str(Jet(2, 16, {(16, 0): 1, (0, 15): 1})) == "x2^15 + x1^16"
+
+
 def test_jets_copy_and_pickle():
     f = Jet(2, 3, {(1, 0): Q(1, 2), (0, 2): 3})
     assert copy.deepcopy(f) == f
     assert pickle.loads(pickle.dumps(f)) == f
     with pytest.raises(AttributeError):
         f.order = 4
+
+
+class _StoredJet:
+    # Pickles as Jet.__reduce__ did when every order below 256 used 8-bit keys.
+    def __init__(self, f: Jet) -> None:
+        num8 = {_pack(_unpack(k, f.n, f._w), 8): c for k, c in f._num.items()}
+        self.args = (f.n, f.order, num8, f._den, 8)
+
+    def __reduce__(self):
+        return _jet, self.args
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 15])
+def test_unpickling_jets_stored_with_8_bit_keys(order):
+    f = Jet(3, order, {e: c for e, c in {
+        (0, 0, 0): 2, (1, 0, 0): Q(1, 2), (0, 1, 2): -3, (15, 0, 0): Q(5, 6), (0, 7, 8): 1,
+    }.items() if sum(e) <= order})
+    g = pickle.loads(pickle.dumps(_StoredJet(f)))
+    assert g == f
+    assert str(g) == str(f)
+    assert g * g == f * f
+
+
+def naive_pushforward(sigma: FormalMap, field: Derivation) -> list[Jet]:
+    # Coefficient j is sum_i sigma(a_i) * (J^-1)[i][j], each pullback a
+    # naive evaluation of every monomial at the images, at the field's order.
+    k = min(field.order, sigma.order - 1)
+    jinv = matrix_inverse(sigma.jacobian_matrix())
+    moved = [naive_substitute(a, list(sigma.images)) for a in field.coefficients]
+    out = []
+    for j in range(sigma.n):
+        total = Jet.zero(sigma.n, k)
+        for m, row in zip(moved, jinv.rows):
+            total = total + naive_mul(m, row[j]).truncate(k)
+        out.append(total)
+    return out
+
+
+def test_pushforward_matches_naive_pullbacks():
+    # Field orders above, equal to and below sigma.order - 1, the result order.
+    rng = seeded_rng("pushforward-oracle")
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        order = rng.randint(2, 5)
+        sigma = random_automorphism(n, order, rng.randint(0, 10 ** 6))
+        for field_order in range(order + 2):
+            field = sparse_field(rng, n, field_order)
+            out = pushforward(sigma, field)
+            assert out.order == min(field_order, order - 1)
+            assert list(out.coefficients) == naive_pushforward(sigma, field)
 
 
 def test_pushforward_checks_a_supplied_jacobian_inverse():
@@ -413,6 +498,24 @@ def test_substitution_across_key_layouts():
     one = Jet(1, 300, {(1,): 1, (2,): 3, (299,): 2})
     image = Jet(1, 300, {(1,): Q(1, 2), (150,): 1})
     assert one.substitute([image]) == naive_substitute(one, [image])
+
+
+def test_substitution_across_narrow_key_layouts():
+    # Orders below 16 pack keys in 4-bit fields; a substitution between
+    # orders 15 and 16 repacks its operands.
+    def jet(order, terms):
+        return Jet(3, order, {e: c for e, c in terms.items() if sum(e) <= order})
+
+    f_terms = {(1, 0, 0): 1, (0, 2, 1): Q(3, 2), (15, 0, 0): -1, (0, 0, 16): 2,
+               (5, 5, 5): 1, (2, 0, 1): Q(1, 3)}
+    image_terms = [{(1, 0, 0): 1, (0, 2, 0): 1, (0, 0, 15): Q(1, 3)},
+                   {(0, 1, 0): -1, (8, 0, 0): 2}, {(0, 0, 1): 1, (1, 1, 0): Q(1, 2)}]
+    for f_order, image_order in ((16, 15), (15, 16), (16, 16), (15, 15), (3, 16), (16, 3)):
+        f = jet(f_order, f_terms)
+        images = [jet(image_order, t) for t in image_terms]
+        out = f.substitute(images)
+        assert out.order == min(f_order, image_order)
+        assert out == naive_substitute(f, images)
 
 
 # -- the shared-minor determinant ---------------------------------------------------

@@ -202,9 +202,9 @@ WIDE = 2**70  # numerators and denominators above 64 bits
 
 @st.composite
 def wide_jets(draw):
-    """Jets for n = 1..4 at orders on both sides of the key-width change."""
+    """Jets for n = 1..4 at orders on both sides of each key-width change."""
     n = draw(st.integers(1, 4))
-    order = draw(st.sampled_from((0, 1, 255, 256, 300)))
+    order = draw(st.sampled_from((0, 1, 15, 16, 255, 256, 300)))
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         room, exps = order, []
