@@ -243,64 +243,80 @@ _UNIT = ({0: 1}, 1)
 _TAIL = 2
 
 
-def _product(exps: Monomial, images: Sequence[tuple[dict, int]], limit: int,
+def _product(key: int, images: Sequence[tuple[list, int]], w: int, limit: int,
              table: dict) -> tuple[dict, int]:
-    """The product of images[j] ** exps[j], built on demand and kept in ``table``."""
-    p = table.get(exps)
+    """The product of images[j] ** e_j over the exponent fields of the packed
+    ``key`` (width ``w``), built on demand and kept in ``table``, which
+    starts as {0: _UNIT}.  A missing product is its parent times one image:
+    the key's last variable, read from its lowest nonzero field, loses one
+    power, so the parent's key is ``key - (1 << shift_j) - unit``."""
+    p = table.get(key)
     if p is None:
-        if not any(exps):
-            return _UNIT
-        j = max(i for i, e in enumerate(exps) if e)
-        parent = _product(exps[:j] + (exps[j] - 1,) + exps[j + 1:], images, limit, table)
+        mask = (1 << w) - 1
+        j, shift = len(images) - 1, 0
+        while not key >> shift & mask:
+            j -= 1
+            shift += w
+        parent = _product(key - (1 << shift) - (1 << (w * len(images))), images, w, limit,
+                          table)
         p = _reduce(*_dot_terms([(parent, images[j])], limit))
-        table[exps] = p
+        table[key] = p
     return p
 
 
-def _subst_terms(terms: dict, images: Sequence[tuple[dict, int]], limit: int, unit: int,
+def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int, limit: int,
                  table: dict, full: int) -> tuple[dict, int]:
     """Evaluate a polynomial at ``images`` in integer form, keys below ``limit``.
 
-    ``terms`` maps exponent tuples over len(images) variables to integer
-    numerators (the caller divides by their denominator); each image is a
-    (numerators, denominator) pair in the result's key layout, with no
-    constant term and its numerators sorted once (``_sorted``), since every
-    fold and table product reuses it; ``unit`` is one step of that layout's
-    degree field.
+    ``terms`` maps packed keys in the result's layout (field width ``w``)
+    to integer numerators (the caller divides by their denominator); the
+    fields of the variables before ``i`` are zero.  Each image is a
+    (numerators, denominator) pair in the same layout, with no constant term
+    and its numerators sorted once (``_sorted``), since every fold and table
+    product reuses it.
 
-    While more than ``_TAIL`` variables remain, the leading one is folded by
+    While more than ``_TAIL`` variables remain, variable ``i`` is folded by
     Horner: with f = sum_p head**p * S_p(rest), folding from the highest
     power down multiplies ``head`` in once per power instead of once per
-    term.  The fold is truncated (Brent & Kung, J. ACM 25(4), 1978): since
-    head**p has adic order >= p, both S_p and the accumulator that the fold
-    at power p multiplies by head matter only below ``limit - p * unit``,
-    so each fold and each S_p is computed to that reduced limit, and powers
-    whose reduced limit is empty are skipped.
+    term.  A key's head exponent p is read with a shift and a mask, and its
+    key in S_p has p taken out of that field and the degree field.  The fold
+    is truncated (Brent & Kung, J. ACM 25(4), 1978): since head**p has adic
+    order >= p, both S_p and the accumulator that the fold at power p
+    multiplies by head matter only below ``limit - p * unit``, so each fold
+    and each S_p is computed to that reduced limit, and powers whose reduced
+    limit is empty are skipped.
 
     The last ``_TAIL`` variables are evaluated as a linear combination of
     the products of their images, each product built once and kept in
-    ``table``, which calls with the same images and ``full`` limit may
-    share.  A table product is therefore always built to ``full``, the
-    limit of the outermost call, whatever the reduced limit of the call that
-    first asks for it; the linear combination drops the keys at or above
-    its own limit, and terms whose degree alone reaches it are skipped.
+    ``table`` under its packed tail monomial, which calls with the same
+    images and ``full`` limit may share.  A table product is therefore
+    always built to ``full``, the limit of the outermost call, whatever the
+    reduced limit of the call that first asks for it; the linear combination
+    drops the keys at or above its own limit, and skips terms whose own
+    keys reach it.
     """
     if not terms:
         return {}, 1
-    if len(images) <= _TAIL:
-        return _lincomb([(c, _product(e, images, full, table))
-                         for e, c in terms.items() if sum(e) * unit < limit], limit)
+    n = len(images)
+    if n - i <= _TAIL:
+        return _lincomb([(c, _product(k, images, w, full, table))
+                         for k, c in terms.items() if k < limit], limit)
+    unit = 1 << (w * n)
+    shift = w * (n - 1 - i)
+    mask = (1 << w) - 1
+    step = (1 << shift) + unit
     groups: dict[int, dict] = {}
-    for e, c in terms.items():
-        groups.setdefault(e[0], {})[e[1:]] = c
-    head, rest = images[0], images[1:]
+    for k, c in terms.items():
+        p = k >> shift & mask
+        groups.setdefault(p, {})[k - p * step] = c
+    head = images[i]
     acc: tuple[dict, int] = ({}, 1)
     for power in range(min(max(groups), limit // unit - 1), -1, -1):
         lim = limit - power * unit
         acc = _dot_terms([(acc, head)], lim)
         sub = groups.get(power)
         if sub is not None:
-            acc = _add_terms(acc, _subst_terms(sub, rest, lim, unit, table, full))
+            acc = _add_terms(acc, _subst_terms(sub, images, i + 1, w, lim, table, full))
     return acc
 
 
@@ -394,13 +410,13 @@ def _linear_row(jet: "Jet") -> list["Q"]:
     return out
 
 
-def _layers(jet: "Jet") -> list[tuple[list, int]]:
-    """The homogeneous parts of ``jet`` in degrees 0..order, each as
+def _negated_layers(jet: "Jet") -> list[tuple[list, int]]:
+    """The homogeneous parts of ``-jet`` in degrees 0..order, each as
     (numerator items in no particular order, the jet's denominator)."""
     shift = jet._w * jet.n
     parts: list[list] = [[] for _ in range(jet.order + 1)]
     for k, c in jet._num.items():
-        parts[k >> shift].append((k, c))
+        parts[k >> shift].append((k, -c))
     return [(part, jet._den) for part in parts]
 
 
@@ -672,7 +688,9 @@ class Jet:
         ring as this jet.  ``_table`` is for callers that substitute many
         jets along the same images: a dict shared by those calls, which
         keeps, per limit, the images sorted for reuse (``_sorted``) and the
-        products of the images that the evaluation reuses.
+        products of the images that the evaluation reuses, keyed by packed
+        monomials in that limit's layout.  This jet's keys go in as stored
+        when they share that layout, and are repacked otherwise.
         """
         if len(images) != self.n:
             raise DimensionMismatch(
@@ -688,14 +706,14 @@ class Jet:
                 )
             cap = min(cap, g.order)
         n, w = self.n, _width(cap)
-        terms = {_unpack(k, n, self._w): c for k, c in self._num.items()}
+        num = self._num if self._w == w else _repack(self._num, n, self._w, w, cap)
         limit = _limit(cap, n, w)
         shared = None if _table is None else _table.get(limit)
         if shared is None:
-            shared = [_sorted(g._clipped(cap)) for g in images], {}
+            shared = [_sorted(g._clipped(cap)) for g in images], {0: _UNIT}
             if _table is not None:
                 _table[limit] = shared
-        num, den = _subst_terms(terms, shared[0], limit, 1 << (w * n), shared[1], limit)
+        num, den = _subst_terms(num, shared[0], 0, w, limit, shared[1], limit)
         return _jet(n, cap, *_reduce(num, den * self._den), w)
 
     def invert_unit(self) -> "Jet":
@@ -853,9 +871,6 @@ class JetMatrix:
 
     def map_entries(self, fn) -> "JetMatrix":
         return JetMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
-
-    def scale(self, c: RationalLike) -> "JetMatrix":
-        return self.map_entries(lambda e: e * c)
 
     def __add__(self, other: "JetMatrix") -> "JetMatrix":
         self._check_compatible(other)

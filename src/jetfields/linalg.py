@@ -1,13 +1,20 @@
 """Dense exact linear algebra over the rationals.
 
-Plain Gauss-Jordan on lists of lists of exact rationals.  Matrices here
-are tiny (the variable count, or a handful of monomial coordinates), so
-asymptotics are irrelevant; what matters is exactness and zero setup
-cost per call.
+Matrices are lists of lists of exact rationals or ints.  They are tiny
+(the variable count, or a handful of monomial coordinates), so what
+matters is exactness and little setup cost per call.
+
+``det`` and ``inverse`` scale each row to integers by the lcm of its
+denominators and eliminate fraction-free: each update is divided exactly
+by the previous pivot (Bareiss, Math. Comp. 22(103), 1968), and each row
+is kept from its current column on.  A scaled row is a nonzero multiple of
+the row that rational elimination holds, so both pick the same pivots.
+``rref`` and ``kernel_basis`` stay on rationals.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import SingularMatrix
@@ -25,42 +32,68 @@ def identity(n: int) -> Matrix:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
+def _integer_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Each row of ``a`` times the lcm of its denominators, and those lcms."""
+    rows, scales = [], []
+    for row in a:
+        d = lcm(*[c.denominator for c in row])
+        rows.append([c.numerator * (d // c.denominator) for c in row])
+        scales.append(d)
+    return rows, scales
+
+
 def det(a: Matrix) -> "Q":
-    """Determinant by fraction-preserving Gaussian elimination."""
-    m = [row[:] for row in a]
+    """Determinant by Bareiss elimination: the last pivot is the
+    determinant of the scaled rows, which the row scales divide."""
+    m, scales = _integer_rows(a)
     n = len(m)
-    result = Q(1)
+    sign, prev = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        pivot = next((r for r in range(col, n) if m[r][0]), None)
         if pivot is None:
             return Q(0)
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result = result * m[col][col]
-        inv = Q(1) / m[col][col]
+            sign = -sign
+        top = m[col]
+        p, tail = top[0], top[1:]
         for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return result
+            row = m[r]
+            f = row[0]
+            m[r] = [(x * p - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = p
+    return Q(sign * prev, prod(scales))
+
 
 def inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises SingularMatrix when the rank drops."""
-    n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
+    """Inverse by fraction-free Gauss-Jordan; raises SingularMatrix when the rank drops.
+
+    The scaled rows D a are augmented with D, the diagonal of the scales,
+    so they solve (D a) X = D for X = a^-1.  Each step updates every row
+    but the pivot row, which leaves all rows over the current pivot; after
+    the last step the augmented block is the last pivot times X.
+    """
+    m, scales = _integer_rows(a)
+    n = len(m)
+    for i, row in enumerate(m):
+        row.extend(scales[i] if j == i else 0 for j in range(n))
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        pivot = next((r for r in range(col, n) if m[r][0]), None)
         if pivot is None:
             raise SingularMatrix(f"matrix is singular (rank deficiency at column {col})")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Q(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
+        p, tail = top[0], top[1:]
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            row = m[r]
+            if r == col:
+                m[r] = tail
+            else:
+                f = row[0]
+                m[r] = [(x * p - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = p
+    return [[Q(x, prev) for x in row] for row in m]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

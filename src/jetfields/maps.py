@@ -42,7 +42,7 @@ from .errors import (
     SingularMatrix,
 )
 from .jets import (Jet, JetMatrix, Monomial, _apply_partials, _dot_terms, _jet, _join_layers,
-                   _layers, _lift, _limit, _lincomb, _linear_row, _reduce, _width)
+                   _lift, _limit, _lincomb, _linear_row, _negated_layers, _reduce, _width)
 from .rationals import Q, RationalLike, as_rational
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -300,10 +300,13 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     M X = I reads X = C^-1 + V X, where V = I - C^-1 M has no constant
     term.  So the degree-0 part of X is C^-1, and for d = 1..order its
     degree-d part is X_d = sum_{a=1..d} V_a X_{d-a}, with V_a the degree-a
-    part of V.  Each entry of each X_d is one pass of products on the
-    integer form, reduced once; every product lands on degree d, so none is
-    truncated away or computed twice.  The parts are disjoint in degree and
-    are joined into the result once, at the end.
+    part of V.  X_0 and the constant jets of C^-1 are built straight from
+    the numerators and denominators of ``linalg.inverse``; V_a, for a >= 1,
+    is the negated degree-a part of C^-1 M, split from its integer form.
+    Each entry of each X_d is one pass of products on the integer form,
+    reduced once; every product lands on degree d, so none is truncated
+    away or computed twice.  The parts are disjoint in degree and are
+    joined into the result once, at the end.
 
     Newton doubling, X <- X + X(I - MX), does more work here.  Products are
     schoolbook, so its asymptotic advantage does not apply, and the
@@ -316,15 +319,19 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     For a dense M the two counts meet.
     """
     n, order = m.n, m.order
-    cinv = JetMatrix.constant(
-        linalg.inverse([[entry.constant_term for entry in row] for row in m.rows]), order
-    )
-    # v[i][l][a] is the degree-a part of V[i][l]; its degree-0 part is never read.
-    v = [[_layers(-e) for e in row] for row in (cinv @ m).rows]
-    # x[b][l][j] is the degree-b part of X[l][j].  Every product of a pass
-    # lands below the limit, so the parts go in unsorted (see _dot_terms).
-    x = [[[_layers(e)[0] for e in row] for row in cinv.rows]]
-    limit = _limit(order, n, _width(order))
+    w = _width(order)
+    ainv = linalg.inverse([[e.constant_term for e in row] for row in m.rows])
+    # x[b][l][j] is the degree-b part of X[l][j], as (numerator items,
+    # denominator).  Every product of a pass lands below the limit, so the
+    # parts go in unsorted (see _dot_terms).
+    x = [[[([(0, int(c.numerator))], int(c.denominator)) if c else ([], 1) for c in row]
+          for row in ainv]]
+    cinv = JetMatrix(tuple(tuple(_jet(n, order, dict(part), d, w) for part, d in row)
+                           for row in x[0]))
+    # v[i][l][a] is the degree-a part of V[i][l], split off C^-1 M and
+    # negated on the way; its degree-0 part is never read.
+    v = [[_negated_layers(e) for e in row] for row in (cinv @ m).rows]
+    limit = _limit(order, n, w)
     for d in range(1, order + 1):
         layer = []
         for i in range(n):

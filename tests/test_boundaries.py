@@ -436,13 +436,34 @@ def with_axis_powers(rng, n: int, order: int) -> Jet:
     return Jet(n, order, terms)
 
 
+def sparse_jet(rng, n: int, order: int, count: int, low: int = 0) -> Jet:
+    # ``count`` random terms of degree low..order, every variable equally
+    # likely in each factor, so that jets in many variables are not empty.
+    terms = {}
+    for _ in range(count):
+        exps = [0] * n
+        for _ in range(rng.randint(low, order)):
+            exps[rng.randrange(n)] += 1
+        terms[tuple(exps)] = Q(rng.randint(1, 4) * rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+    return Jet(n, order, terms)
+
+
 def test_substitution_folds_two_horner_levels():
+    # Two Horner levels at n = 4; three at n = 5 and four at n = 6, where
+    # every level splits its head exponent off the packed keys.
     rng = seeded_rng("horner-n4")
     for _ in range(12):
         order = rng.randint(1, 5)
         f = with_axis_powers(rng, 4, order)
         images = [random_jet(rng, 4, order, max_terms=4, zero_const=True) for _ in range(4)]
         assert f.substitute(images) == naive_substitute(f, images)
+    rng = seeded_rng("horner-n5-n6")
+    for n in (5, 6):
+        for _ in range(6):
+            order = rng.randint(3, 5)
+            f = with_axis_powers(rng, n, order) + sparse_jet(rng, n, order, 8)
+            images = [sparse_jet(rng, n, order, 3, low=1) for _ in range(n)]
+            assert f.substitute(images) == naive_substitute(f, images)
 
 
 def test_substitution_into_images_of_mixed_orders():
@@ -480,6 +501,27 @@ def test_one_table_shared_by_calls_at_different_limits():
         for f in fs:
             assert f.substitute(images, _table=table) == naive_substitute(f, images)
         assert len(table) == len({f.order for f in fs})
+
+
+def test_one_table_shared_across_key_layouts():
+    # Jets of orders 15, 16 and 256 pack keys in 4-, 8- and 9-bit fields.
+    # Over order-15 images all three substitute at order 15, so they are
+    # repacked into its layout and share one table of products keyed there.
+    rng = seeded_rng("horner-shared-layouts")
+    for n in (3, 4):
+        images = [sparse_jet(rng, n, 15, 2, low=1) + sparse_jet(rng, n, 15, 1, low=12)
+                  for _ in range(n)]
+        low = (with_axis_powers(rng, n, 3) + sparse_jet(rng, n, 6, 6)).terms
+        high = {(15,) + (0,) * (n - 1): 2, (0,) * (n - 1) + (16,): Q(1, 3),
+                (1,) + (0,) * (n - 2) + (14,): -1, (200,) + (0,) * (n - 2) + (55,): 5}
+        fs = [Jet(n, order, {e: c for e, c in {**low, **high}.items() if sum(e) <= order})
+              for order in (15, 16, 256)]
+        table: dict = {}
+        for f in fs:
+            out = f.substitute(images, _table=table)
+            assert out.order == 15
+            assert out == naive_substitute(f, images)
+        assert len(table) == 1
 
 
 def test_substitution_across_key_layouts():

@@ -450,8 +450,8 @@ def test_matrix_validation():
         JetMatrix(())
 
 
-def test_matrix_add_sub_scale():
+def test_matrix_add_sub():
     eye = JetMatrix.identity(2, 3)
-    two = eye.scale(2)
+    two = eye + eye
     assert two - eye == eye
-    assert eye + eye == two
+    assert two == JetMatrix.constant([[2, 0], [0, 2]], 3)

@@ -3,8 +3,9 @@
 Products, substitution, determinants, Jacobian matrices and determinants,
 the derivation action and matrix inversion are compared with sympy's
 expansion of the same polynomials, cut at the order the kernel claims, and
-every comparison also asserts that claimed order.  The whole module is
-skipped where sympy is not installed.
+every comparison also asserts that claimed order.  The fraction-free
+``linalg.det`` and ``linalg.inverse`` are compared with sympy's rational
+matrices.  The whole module is skipped where sympy is not installed.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from conftest import derivations, exponent_tuples, jets, rationals  # noqa: E402
-from jetfields import FormalMap, Jet, JetMatrix, Q, linalg, matrix_inverse  # noqa: E402
+from conftest import derivations, exponent_tuples, jets, rationals, seeded_rng  # noqa: E402
+from jetfields import (FormalMap, Jet, JetMatrix, Q, SingularMatrix, linalg,  # noqa: E402
+                       matrix_inverse)
 
 XS = sympy.symbols("x1:5")
 EXAMPLES = settings(max_examples=25, deadline=None)
@@ -175,3 +177,73 @@ def test_derivation_apply_matches_sympy(case):
     expr = sympy.Add(*(to_sympy(a) * sympy.diff(to_sympy(f), x)
                        for a, x in zip(field.coefficients, XS)))
     assert out.terms == truncated_terms(expr, f.n, claimed)
+
+
+# -- rational matrices ---------------------------------------------------------------
+
+
+def sympy_matrix(a):
+    return sympy.Matrix([[sympy.Rational(int(Q(c).numerator), int(Q(c).denominator))
+                          for c in row] for row in a])
+
+
+def from_sympy(m) -> list[list]:
+    return [[Q(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def check_linalg(a) -> None:
+    """``det`` and ``inverse`` of ``a`` against sympy, values and types."""
+    expected = sympy_matrix(a)
+    det = linalg.det(a)
+    assert type(det) is type(Q(0))
+    assert det == Q(int(expected.det().p), int(expected.det().q))
+    if det:
+        inv = linalg.inverse(a)
+        assert all(type(c) is type(Q(0)) for row in inv for c in row)
+        assert inv == from_sympy(expected.inv())
+    else:
+        with pytest.raises(SingularMatrix):
+            linalg.inverse(a)
+
+
+def random_rational_matrix(rng, n: int):
+    # Mixed denominators, and plain ints mixed in with rationals.
+    return [[rng.randint(-5, 5) if rng.random() < 0.3
+             else Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5, 7, 9)))
+             for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_linalg_matches_sympy_on_seeded_matrices(n):
+    rng = seeded_rng(f"linalg-{n}")
+    for _ in range(30):
+        check_linalg(random_rational_matrix(rng, n))
+
+
+def test_linalg_with_a_zero_leading_pivot():
+    # Column 0 is zero in the first row, so elimination swaps rows at once;
+    # the second matrix needs a swap at column 1 too.
+    for a in ([[0, Q(1, 2)], [Q(3, 4), 5]],
+              [[0, 1, Q(2, 3)], [Q(1, 2), 0, 3], [1, 0, Q(-1, 5)]],
+              [[Q(1, 3), 1, 2, 0], [Q(2, 3), 2, Q(1, 2), 1], [0, 0, 1, 7], [1, 5, 0, Q(1, 7)]]):
+        check_linalg(a)
+
+
+def test_linalg_negative_determinants():
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+    assert linalg.det([[Q(1, 2), 3], [Q(5, 3), Q(1, 4)]]) == Q(-39, 8)
+    a = [[2, Q(1, 3), 0], [Q(-1, 2), 1, 4], [3, Q(2, 7), Q(-5, 2)]]
+    assert linalg.det(a) < 0
+    check_linalg(a)
+
+
+def test_linalg_on_singular_matrices():
+    for a in ([[0]], [[Q(1, 2), 1], [1, 2]], [[1, 2, 3], [Q(1, 2), 1, Q(3, 2)], [0, 1, 5]],
+              [[1, Q(1, 3), 2, 0], [0, 0, 0, 0], [3, 1, Q(1, 5), 1], [2, 2, 2, 2]]):
+        assert linalg.det(a) == 0
+        check_linalg(a)
+    # The message names the first column with no pivot, as rational
+    # Gauss-Jordan does.
+    with pytest.raises(SingularMatrix,
+                       match=r"^matrix is singular \(rank deficiency at column 1\)$"):
+        linalg.inverse([[Q(1, 2), 1, 0], [1, 2, Q(1, 3)], [0, 0, 4]])
