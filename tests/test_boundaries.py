@@ -501,9 +501,6 @@ def test_one_table_shared_by_calls_at_different_limits():
         for f in fs:
             assert f.substitute(images, _table=table) == naive_substitute(f, images)
         assert len(table) == len({f.order for f in fs})
-
-
-def test_one_table_shared_across_key_layouts():
     # Jets of orders 15, 16 and 256 pack keys in 4-, 8- and 9-bit fields.
     # Over order-15 images all three substitute at order 15, so they are
     # repacked into its layout and share one table of products keyed there.
