@@ -26,7 +26,6 @@ from .errors import (
 from .fields import (
     Derivation,
     DivergenceClass,
-    FieldGenParams,
     centralizes_partials,
     classify_divergence,
     coordinate_frame,
@@ -42,7 +41,6 @@ from .jets import Jet, JetMatrix, Monomial, grlex_key
 from .maps import (
     FormalMap,
     LinearPart,
-    MapGenParams,
     exp_flow,
     identity_map,
     linear_map,
@@ -87,14 +85,12 @@ __all__ = [
     "Derivation",
     "DimensionMismatch",
     "DivergenceClass",
-    "FieldGenParams",
     "FormalMap",
     "IdentityCheck",
     "Jet",
     "JetMatrix",
     "JetfieldsError",
     "LinearPart",
-    "MapGenParams",
     "Monomial",
     "NonConstantDivergence",
     "NotAUnit",

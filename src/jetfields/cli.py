@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .errors import JetfieldsError
 from .fields import pushforward
 from .maps import exp_flow
-from .suite import CHECK_IDS, SuiteConfig, run_suite
+from .suite import CHECK_IDS, SuiteConfig, _det_guard, run_suite
 from .syntax import parse_field, parse_map
 
 SEED_ENV_VAR = "JETFIELDS_SEED"
@@ -157,6 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fmap = parse_map(args.map, args.n, args.order)
             print(fmap.jacobian_matrix())
         elif args.command == "jacdet":
+            _det_guard("jacdet", args.n)
             fmap = parse_map(args.map, args.n, args.order)
             print(fmap.jacobian_det())
         elif args.command == "push":

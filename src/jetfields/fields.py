@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     DimensionMismatch,
@@ -29,14 +29,13 @@ from .errors import (
 from .jets import Jet, JetMatrix, Monomial, _apply_partials, _dot
 from .maps import (
     FormalMap,
-    MapGenParams,
     _as_rng,
     _divergence_free_coeffs,
     _rand_monomial,
     _rand_rational,
     matrix_inverse,
 )
-from .rationals import Q, RationalLike, as_rational
+from .rationals import Q, as_rational
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -345,51 +344,30 @@ def centralizes_partials(field: Derivation) -> bool:
 # -- seeded random generation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldGenParams:
-    """Knobs for the seeded field samplers."""
+def random_field(n: int, order: int, seed: "int | random.Random") -> Derivation:
+    """A seeded random field with sparse small-rational coefficients.
 
-    terms: int = 2
-    min_degree: int = 0
-    numer_bound: int = 2
-    denominators: tuple[int, ...] = (1, 1, 2)
-
-    def _map_params(self) -> MapGenParams:
-        return MapGenParams(
-            numer_bound=self.numer_bound, denominators=self.denominators
-        )
-
-
-DEFAULT_FIELD_PARAMS = FieldGenParams()
-
-
-def random_field(
-    n: int, order: int, seed: "int | random.Random",
-    params: FieldGenParams = DEFAULT_FIELD_PARAMS,
-) -> Derivation:
-    """A seeded random field with sparse small-rational coefficients."""
+    Each coefficient sums one or two terms of degree 0..order, each term
+    p/q times a monomial, with p in -2..2 nonzero and q in {1, 2}.
+    """
     rng = _as_rng(seed)
-    mp = params._map_params()
     coeffs = []
     for _ in range(n):
         terms: dict[Monomial, Q] = {}
-        for _ in range(rng.randint(1, max(1, params.terms))):
-            exps = _rand_monomial(rng, n, params.min_degree, order)
+        for _ in range(rng.randint(1, 2)):
+            exps = _rand_monomial(rng, n, 0, order)
             if exps is not None:
-                terms[exps] = terms.get(exps, 0) + _rand_rational(rng, mp, nonzero=True)
+                terms[exps] = terms.get(exps, 0) + _rand_rational(rng, nonzero=True)
         coeffs.append(Jet(n, order, terms))
     return Derivation(n, order, tuple(coeffs))
 
 
-def random_divergence_free(
-    n: int, order: int, seed: "int | random.Random",
-    params: FieldGenParams = DEFAULT_FIELD_PARAMS,
-) -> Derivation:
+def random_divergence_free(n: int, order: int, seed: "int | random.Random") -> Derivation:
     """A seeded random divergence-free field with coefficients of adic order >= 2.
 
     Built from closed forms whose divergence cancels exactly.  In one
     variable the only such field is zero, which is what comes back there.
     """
     rng = _as_rng(seed)
-    coeffs = _divergence_free_coeffs(rng, n, order, params._map_params())
+    coeffs = _divergence_free_coeffs(rng, n, order)
     return Derivation(n, order, tuple(coeffs))

@@ -457,9 +457,9 @@ class Jet:
             if c:
                 canon[e] = c
         w = _width(order)
-        den = lcm(*[int(c.denominator) for c in canon.values()])
+        den = lcm(*[c.denominator for c in canon.values()])
         num = {
-            _pack(e, w): int(c.numerator) * (den // int(c.denominator))
+            _pack(e, w): c.numerator * (den // c.denominator)
             for e, c in canon.items()
         }
         _set_n(self, n)
@@ -488,7 +488,7 @@ class Jet:
         _check_ring(n, order)
         if not c:
             return _jet(n, order, {}, 1, _width(order))
-        return _jet(n, order, {0: int(c.numerator)}, int(c.denominator), _width(order))
+        return _jet(n, order, {0: c.numerator}, c.denominator, _width(order))
 
     @classmethod
     def variable(cls, n: int, order: int, i: int) -> "Jet":
@@ -655,10 +655,10 @@ class Jet:
             c = as_rational(other)
         except TypeError:
             return NotImplemented
-        p = int(c.numerator)
+        p = c.numerator
         num = {e: v * p for e, v in self._num.items()} if p else {}
         return _jet(
-            self.n, self.order, *_reduce(num, self._den * int(c.denominator)), self._w
+            self.n, self.order, *_reduce(num, self._den * c.denominator), self._w
         )
 
     __rmul__ = __mul__

@@ -15,17 +15,12 @@ the row that rational elimination holds, so both pick the same pivots.
 from __future__ import annotations
 
 from math import lcm, prod
-from typing import Sequence
 
 from .errors import SingularMatrix
-from .rationals import Q, as_rational
+from .rationals import Q
 
 Vector = list
 Matrix = list
-
-
-def mat(values: Sequence[Sequence]) -> Matrix:
-    return [[as_rational(v) for v in row] for row in values]
 
 
 def identity(n: int) -> Matrix:

@@ -28,8 +28,7 @@ target order is exact there).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from math import lcm
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
@@ -166,10 +165,7 @@ class FormalMap:
             ) from None
         n, cap = self.n, self.order
         # The rows of A^-1, each as integers over the lcm of its denominators.
-        rows = []
-        for row in ainv:
-            d = lcm(*[int(c.denominator) for c in row])
-            rows.append(([int(c.numerator) * (d // int(c.denominator)) for c in row], d))
+        rows = list(zip(*linalg._integer_rows(ainv)))
 
         def solve(rhs: list[Jet], k: int) -> list[Jet]:
             # A^-1 applied to a column of jets of order k, one pass per row.
@@ -324,7 +320,7 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     # x[b][l][j] is the degree-b part of X[l][j], as (numerator items,
     # denominator).  Every product of a pass lands below the limit, so the
     # parts go in unsorted (see _dot_terms).
-    x = [[[([(0, int(c.numerator))], int(c.denominator)) if c else ([], 1) for c in row]
+    x = [[[([(0, c.numerator)], c.denominator) if c else ([], 1) for c in row]
           for row in ainv]]
     cinv = JetMatrix(tuple(tuple(_jet(n, order, dict(part), d, w) for part, d in row)
                            for row in x[0]))
@@ -388,25 +384,14 @@ def exp_flow(field: "Derivation") -> FormalMap:
 
 # -- seeded random generation -------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class MapGenParams:
-    """Knobs for the seeded map samplers.
-
-    ``shears`` and ``flows`` only take effect for n >= 2 and order >= 2;
-    in one variable the constant-Jacobian maps are exactly the linear
-    ones, so the samplers degenerate there by design.
-    """
-
-    shears: int = 2
-    flows: int = 1
-    tail_terms: int = 1
-    numer_bound: int = 2
-    denominators: tuple[int, ...] = (1, 1, 2)
-    identity_linear: bool = False
-
-
-DEFAULT_MAP_PARAMS = MapGenParams()
+# The fixed draws of the samplers.  A coefficient is p/q with p uniform in
+# -_NUMER_BOUND.._NUMER_BOUND and q drawn from _DENOMINATORS, so q = 1 twice
+# as often as q = 2.  A constant-Jacobian map composes _SHEARS shears after
+# its linear part; an automorphism adds _TAIL_TERMS tail terms to each image.
+_NUMER_BOUND = 2
+_DENOMINATORS = (1, 1, 2)
+_SHEARS = 2
+_TAIL_TERMS = 2
 
 
 def _as_rng(seed: "int | random.Random") -> random.Random:
@@ -415,12 +400,12 @@ def _as_rng(seed: "int | random.Random") -> random.Random:
     return random.Random(seed)
 
 
-def _rand_rational(rng: random.Random, params: MapGenParams, nonzero: bool = False) -> "Q":
+def _rand_rational(rng: random.Random, nonzero: bool = False) -> "Q":
     while True:
-        num = rng.randint(-params.numer_bound, params.numer_bound)
+        num = rng.randint(-_NUMER_BOUND, _NUMER_BOUND)
         if num == 0 and nonzero:
             continue
-        return Q(num, rng.choice(params.denominators))
+        return Q(num, rng.choice(_DENOMINATORS))
 
 
 def _rand_monomial(
@@ -440,24 +425,21 @@ def _rand_monomial(
     return tuple(exps)
 
 
-def _rand_invertible(rng: random.Random, n: int, params: MapGenParams) -> LinearPart:
-    if params.identity_linear:
-        return linalg.identity(n)
+def _rand_invertible(rng: random.Random, n: int) -> LinearPart:
     for _ in range(200):
-        m = [[_rand_rational(rng, params) for _ in range(n)] for _ in range(n)]
+        m = [[_rand_rational(rng) for _ in range(n)] for _ in range(n)]
         if linalg.det(m):
             return m
     # Vanishingly unlikely; fall back to a unit upper-triangular matrix.
     m = linalg.identity(n)
     for i in range(n):
         for j in range(i + 1, n):
-            m[i][j] = _rand_rational(rng, params)
+            m[i][j] = _rand_rational(rng)
     return m
 
 
 def random_shear(
-    n: int, order: int, seed: "int | random.Random",
-    params: MapGenParams = DEFAULT_MAP_PARAMS, target: int | None = None,
+    n: int, order: int, seed: "int | random.Random", target: int | None = None,
 ) -> FormalMap:
     """A random shear; identity when n or the order leaves no room for one."""
     rng = _as_rng(seed)
@@ -468,13 +450,11 @@ def random_shear(
     for _ in range(rng.randint(1, 2)):
         exps = _rand_monomial(rng, n, 2, order, avoid=i - 1)
         if exps is not None:
-            terms[exps] = terms.get(exps, 0) + _rand_rational(rng, params, nonzero=True)
+            terms[exps] = terms.get(exps, 0) + _rand_rational(rng, nonzero=True)
     return shear(n, order, i, Jet(n, order, terms))
 
 
-def _divergence_free_coeffs(
-    rng: random.Random, n: int, order: int, params: MapGenParams
-) -> list[Jet]:
+def _divergence_free_coeffs(rng: random.Random, n: int, order: int) -> list[Jet]:
     """Coefficients of a random divergence-free field, adic order >= 2.
 
     Two exact constructions, mixed at random: a monomial field m * d_i with
@@ -488,7 +468,7 @@ def _divergence_free_coeffs(
         if order >= 3 and rng.random() < 0.5:
             i, j = rng.sample(range(n), 2)
             f_exps = _rand_monomial(rng, n, 3, order + 1)
-            f = Jet.monomial(n, order + 1, f_exps, _rand_rational(rng, params, nonzero=True))
+            f = Jet.monomial(n, order + 1, f_exps, _rand_rational(rng, nonzero=True))
             coeffs[i] = coeffs[i] + f.partial_derivative(j + 1)
             coeffs[j] = coeffs[j] - f.partial_derivative(i + 1)
         else:
@@ -496,54 +476,52 @@ def _divergence_free_coeffs(
             exps = _rand_monomial(rng, n, 2, order, avoid=i)
             if exps is not None:
                 coeffs[i] = coeffs[i] + Jet.monomial(
-                    n, order, exps, _rand_rational(rng, params, nonzero=True)
+                    n, order, exps, _rand_rational(rng, nonzero=True)
                 )
     return coeffs
 
 
 def random_const_jacobian(
-    n: int, order: int, seed: "int | random.Random",
-    params: MapGenParams = DEFAULT_MAP_PARAMS,
+    n: int, order: int, seed: "int | random.Random", *, flows: int = 1,
 ) -> FormalMap:
     """A seeded random map with constant Jacobian determinant.
 
-    Composes an invertible linear map with ``params.shears`` shears and the
-    flows of ``params.flows`` divergence-free fields.  For n = 1 only the
-    linear stage exists and the result is x -> c x.
+    Composes an invertible linear map, with entries p/q for p in -2..2 and
+    q in {1, 2}, with two shears and then the flows of ``flows``
+    divergence-free fields.  Shears and flows need n >= 2 and order >= 2:
+    in one variable the constant-Jacobian maps are exactly the linear ones,
+    and the result is x -> c x.
     """
     rng = _as_rng(seed)
-    result = linear_map(_rand_invertible(rng, n, params), order)
+    result = linear_map(_rand_invertible(rng, n), order)
     if n >= 2 and order >= 2:
-        for k in range(params.shears):
-            s = random_shear(n, order, rng, params, target=(k % n) + 1)
+        for k in range(_SHEARS):
+            s = random_shear(n, order, rng, target=(k % n) + 1)
             result = result.compose(s)
-        for _ in range(params.flows):
-            coeffs = _divergence_free_coeffs(rng, n, order, params)
+        for _ in range(flows):
+            coeffs = _divergence_free_coeffs(rng, n, order)
             images = _flow_images(n, order, coeffs)
             result = result.compose(FormalMap(n, order, tuple(images)))
     return result
 
 
-def random_automorphism(
-    n: int, order: int, seed: "int | random.Random",
-    params: MapGenParams = replace(DEFAULT_MAP_PARAMS, flows=0, tail_terms=2),
-) -> FormalMap:
+def random_automorphism(n: int, order: int, seed: "int | random.Random") -> FormalMap:
     """A seeded random automorphism with generic higher-order terms.
 
-    Starts from the constant-Jacobian sampler (linear part plus shears and
-    optional flows) and then adds random tail terms of adic order >= 2 to
-    each image, which preserves the invertible linear part.
+    Starts from the constant-Jacobian sampler without flows (linear part
+    plus two shears) and then adds two random tail terms of adic order >= 2
+    to each image, which preserves the invertible linear part.
     """
     rng = _as_rng(seed)
-    base = random_const_jacobian(n, order, rng, params)
+    base = random_const_jacobian(n, order, rng, flows=0)
     images = list(base.images)
     if order >= 2:
         for i in range(n):
             extra: dict[Monomial, Q] = {}
-            for _ in range(params.tail_terms):
+            for _ in range(_TAIL_TERMS):
                 exps = _rand_monomial(rng, n, 2, order)
                 if exps is not None:
-                    extra[exps] = extra.get(exps, 0) + _rand_rational(rng, params)
+                    extra[exps] = extra.get(exps, 0) + _rand_rational(rng)
             if extra:
                 images[i] = images[i] + Jet(n, order, extra)
     return FormalMap(n, order, tuple(images))

@@ -35,7 +35,6 @@ from . import linalg
 from .errors import ConfigError, JetfieldsError
 from .fields import (
     Derivation,
-    FieldGenParams,
     centralizes_partials,
     classify_divergence,
     coordinate_frame,
@@ -48,7 +47,6 @@ from .fields import (
 from .jets import Jet
 from .maps import (
     FormalMap,
-    MapGenParams,
     _rand_monomial,
     _rand_rational,
     matrix_inverse,
@@ -56,13 +54,6 @@ from .maps import (
     random_const_jacobian,
 )
 from .rationals import Q
-
-# Samplers shared by the whole catalog.  Both map samplers compose at
-# least two shears with a dense invertible linear part (for n >= 2), so
-# every check sees non-linear, non-triangular inputs.
-MAP_PARAMS = MapGenParams(shears=2, flows=1)
-AUTO_PARAMS = MapGenParams(shears=2, flows=0, tail_terms=2)
-FIELD_PARAMS = FieldGenParams()
 
 Inputs = Mapping[str, tuple]
 
@@ -135,41 +126,41 @@ class CellResult:
 
 
 def _gen_one_auto(rng: random.Random, n: int, order: int) -> Inputs:
-    return {"maps": (random_automorphism(n, order, rng, AUTO_PARAMS),), "fields": ()}
+    return {"maps": (random_automorphism(n, order, rng),), "fields": ()}
 
 
 def _gen_two_autos(rng: random.Random, n: int, order: int) -> Inputs:
     return {
         "maps": (
-            random_automorphism(n, order, rng, AUTO_PARAMS),
-            random_automorphism(n, order, rng, AUTO_PARAMS),
+            random_automorphism(n, order, rng),
+            random_automorphism(n, order, rng),
         ),
         "fields": (),
     }
 
 
 def _gen_const_jacobian(rng: random.Random, n: int, order: int) -> Inputs:
-    return {"maps": (random_const_jacobian(n, order, rng, MAP_PARAMS),), "fields": ()}
+    return {"maps": (random_const_jacobian(n, order, rng),), "fields": ()}
 
 
 def _gen_const_jacobian_and_field(rng: random.Random, n: int, order: int) -> Inputs:
     return {
-        "maps": (random_const_jacobian(n, order, rng, MAP_PARAMS),),
-        "fields": (random_field(n, order, rng, FIELD_PARAMS),),
+        "maps": (random_const_jacobian(n, order, rng),),
+        "fields": (random_field(n, order, rng),),
     }
 
 
 def _random_const_div(rng: random.Random, n: int, order: int) -> Derivation:
-    base = random_divergence_free(n, order, rng, FIELD_PARAMS)
-    return base + euler_field(n, order, 1) * _rand_rational(rng, MAP_PARAMS)
+    base = random_divergence_free(n, order, rng)
+    return base + euler_field(n, order, 1) * _rand_rational(rng)
 
 
 def _gen_c6(rng: random.Random, n: int, order: int) -> Inputs:
     return {
         "maps": (),
         "fields": (
-            random_field(n, order, rng, FIELD_PARAMS),
-            random_field(n, order, rng, FIELD_PARAMS),
+            random_field(n, order, rng),
+            random_field(n, order, rng),
             _random_const_div(rng, n, order),
             _random_const_div(rng, n, order),
         ),
@@ -179,12 +170,12 @@ def _gen_c6(rng: random.Random, n: int, order: int) -> Inputs:
 def _gen_c7(rng: random.Random, n: int, order: int) -> Inputs:
     return {
         "maps": (
-            random_automorphism(n, order, rng, AUTO_PARAMS),
-            random_automorphism(n, order, rng, AUTO_PARAMS),
+            random_automorphism(n, order, rng),
+            random_automorphism(n, order, rng),
         ),
         "fields": (
-            random_field(n, order, rng, FIELD_PARAMS),
-            random_field(n, order, rng, FIELD_PARAMS),
+            random_field(n, order, rng),
+            random_field(n, order, rng),
         ),
     }
 
@@ -195,13 +186,13 @@ def _constant_field(n: int, order: int, values) -> Derivation:
 
 def _gen_c9(rng: random.Random, n: int, order: int) -> Inputs:
     const_f = _constant_field(
-        n, order, [_rand_rational(rng, MAP_PARAMS) for _ in range(n)]
+        n, order, [_rand_rational(rng) for _ in range(n)]
     )
     while True:
-        base = random_field(n, order, rng, FIELD_PARAMS)
+        base = random_field(n, order, rng)
         slot = rng.randrange(n)
         exps = _rand_monomial(rng, n, 1, order - 1)
-        bump = Jet.monomial(n, order, exps, _rand_rational(rng, MAP_PARAMS, nonzero=True))
+        bump = Jet.monomial(n, order, exps, _rand_rational(rng, nonzero=True))
         coeffs = list(base.coefficients)
         coeffs[slot] = coeffs[slot] + bump
         nonconst = Derivation(n, order, tuple(coeffs))
@@ -211,7 +202,7 @@ def _gen_c9(rng: random.Random, n: int, order: int) -> Inputs:
         ):
             break
     while True:
-        lam = [_rand_rational(rng, MAP_PARAMS) for _ in range(n)]
+        lam = [_rand_rational(rng) for _ in range(n)]
         if any(lam):
             break
     return {"maps": (), "fields": (const_f, nonconst, _constant_field(n, order, lam))}
@@ -219,12 +210,12 @@ def _gen_c9(rng: random.Random, n: int, order: int) -> Inputs:
 
 def _gen_c10(rng: random.Random, n: int, order: int) -> Inputs:
     affine = Derivation(1, order, (Jet(1, order, {
-        (0,): _rand_rational(rng, MAP_PARAMS),
-        (1,): _rand_rational(rng, MAP_PARAMS),
+        (0,): _rand_rational(rng),
+        (1,): _rand_rational(rng),
     }),))
     k = rng.randint(2, order)
     curved = Derivation(1, order, (
-        Jet.monomial(1, order, (k,), _rand_rational(rng, MAP_PARAMS, nonzero=True)),
+        Jet.monomial(1, order, (k,), _rand_rational(rng, nonzero=True)),
     ))
     return {"maps": (), "fields": (affine, curved)}
 
@@ -388,7 +379,7 @@ def _univariate_kernel_ok(order: int) -> bool:
         [d.coefficient((m,)) for d in divs]
         for m in range(1, order)
     ]
-    kern = linalg.kernel_basis(linalg.mat(rows), order + 1)
+    kern = linalg.kernel_basis(rows, order + 1)
     if len(kern) != 2:
         return False
     e0 = [Q(1)] + [Q(0)] * order
@@ -542,20 +533,39 @@ _ARITY = {
 
 # -- configuration and execution ----------------------------------------------------
 
-# Cost ceilings, checked by ``SuiteConfig.validate`` before any trial runs.
-# A jet of order k in n variables has C(n + k, n) monomials; a product of
-# two dense ones took 4.6 ms at the stretch point (n = 4, order 8: 495
-# monomials) and 11 ms at (4, 10), the largest ring admitted, on a 2-vCPU
-# Xeon under Python 3.11, and a trial runs hundreds of products.  C9's
-# grid brackets every pair of n scaled translation fields for each of the
-# 3**n - 1 nonzero weight vectors, at about 0.45 ms a bracket there; the
-# ceiling admits n <= 5, about 1.1 s a cell, and refuses n = 6, about 5 s.
+# Cost ceilings, checked for each cell by ``_cell_check`` before any of
+# its trials runs.  A jet of order k in n variables has C(n + k, n)
+# monomials; a product of two dense ones took 4.6 ms at the stretch point
+# (n = 4, order 8: 495 monomials) and 11 ms at (4, 10), the largest ring
+# admitted, on a 2-vCPU Xeon under Python 3.11, and a trial runs hundreds
+# of products.  C9's grid brackets every pair of n scaled translation
+# fields for each of the 3**n - 1 nonzero weight vectors, at about 0.45 ms
+# a bracket there; the ceiling admits n <= 5, about 1.1 s a cell, and
+# refuses n = 6, about 5 s.  C2 and C3 take Jacobian determinants, and so
+# does C5's control; ``JetMatrix.det`` makes n * 2**(n - 1) - n products
+# and keeps 2**n minors, so its cost doubles with each variable.  On the
+# same machine one C2 trial took 0.3-0.5 s at (8, 4), the costliest ring
+# admitted at n = 8, 1.0-1.2 s at (9, 4) and 3.0-4.3 s at (10, 4).
 MAX_RING_SIZE = 1001
 MAX_GRID_BRACKETS = 2500
+MAX_DET_VARS = 8
+_DET_CHECKS = ("C2", "C3", "C5")
+
+
+def _det_guard(what: str, n: int) -> None:
+    """``ConfigError`` if Jacobian determinants in n variables are too costly."""
+    if n > MAX_DET_VARS:
+        raise ConfigError(
+            f"{what} at n={n} is too costly: Jacobian determinants are "
+            f"admitted up to n = {MAX_DET_VARS}"
+        )
 
 
 def _cell_check(check, n, order) -> IdentityCheck:
-    """The catalog entry that runs at (n, order); ``ConfigError`` if none can."""
+    """The catalog entry that runs at (n, order).
+
+    Raises ``ConfigError`` if none can, or if the cell is too costly.
+    """
     cd = CHECKS.get(check) if isinstance(check, str) else None
     if cd is None:
         raise ConfigError(f"unknown check {check!r}; valid ids are {', '.join(CHECK_IDS)}")
@@ -567,6 +577,23 @@ def _cell_check(check, n, order) -> IdentityCheck:
         raise ConfigError(f"check {check} only applies to n = {cd.n_only}")
     if order < cd.min_order:
         raise ConfigError(f"check {check} needs order >= {cd.min_order}, got {order}")
+    # C(n + order, n) > max(n, order) for positive n and order, so the
+    # first test keeps the binomial small.
+    if max(n, order) >= MAX_RING_SIZE or math.comb(n + order, n) > MAX_RING_SIZE:
+        raise ConfigError(
+            f"cell n={n}, order={order} is too costly: its jets have more "
+            f"than {MAX_RING_SIZE} monomials"
+        )
+    if check in _DET_CHECKS:
+        _det_guard(f"check {check}", n)
+    if check == "C9":
+        # n passed the ring ceiling, so 3**n stays small.
+        brackets = (3 ** n - 1) * n * (n - 1) // 2
+        if brackets > MAX_GRID_BRACKETS:
+            raise ConfigError(
+                f"C9 at n={n} is too costly: its grid needs {brackets} brackets, "
+                f"above the limit of {MAX_GRID_BRACKETS}"
+            )
     return cd
 
 
@@ -612,27 +639,11 @@ class SuiteConfig:
             CHECKS[ident].applicable(n) for ident in self.checks for n in self.n_list
         ):
             raise ConfigError("configuration yields no applicable (check, n) cells")
-        for n in self.n_list:
-            if not any(CHECKS[ident].applicable(n) for ident in self.checks):
-                continue
-            for order in self.order_list:
-                # C(n + order, n) > max(n, order) for positive n and order,
-                # so the first test keeps the binomial small.
-                if (max(n, order) >= MAX_RING_SIZE
-                        or math.comb(n + order, n) > MAX_RING_SIZE):
-                    raise ConfigError(
-                        f"cell n={n}, order={order} is too costly: its jets have more "
-                        f"than {MAX_RING_SIZE} monomials"
-                    )
-        if "C9" in self.checks:
-            # Every n here passed the ring ceiling, so 3**n stays small.
+        for ident in self.checks:
             for n in self.n_list:
-                brackets = (3 ** n - 1) * n * (n - 1) // 2
-                if brackets > MAX_GRID_BRACKETS:
-                    raise ConfigError(
-                        f"C9 at n={n} is too costly: its grid needs {brackets} brackets, "
-                        f"above the limit of {MAX_GRID_BRACKETS}"
-                    )
+                if CHECKS[ident].applicable(n):
+                    for order in self.order_list:
+                        _cell_check(ident, n, order)
 
     def to_dict(self) -> dict:
         return {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fractions
 import json
 import shutil
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from jetfields import cli
+import jetfields
+from jetfields import JetMatrix, cli
 from jetfields.cli import SEED_ENV_VAR, main
 
 SIGMA = "x1 -> x1; x2 -> x2 + x1^2"
@@ -196,6 +198,26 @@ def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):
         assert "too costly" in err
 
 
+def test_jacdet_refuses_a_costly_map_before_parsing(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("neither parsing nor det may start")
+
+    monkeypatch.setattr(JetMatrix, "det", no_work)
+    monkeypatch.setattr(cli, "parse_map", no_work)
+    for n in ("9", "20"):
+        code, out, err = run(capsys, "jacdet", "-n", n, "-N", "2", "not a map")
+        assert code == 2
+        assert out == ""
+        assert "too costly" in err
+    # The cap itself is admitted.
+    monkeypatch.undo()
+    monkeypatch.setattr(JetMatrix, "det", lambda self: "det")
+    identity = "; ".join(f"x{i} -> x{i}" for i in range(1, 9))
+    code, out, _ = run(capsys, "jacdet", "-n", "8", "-N", "2", identity)
+    assert code == 0
+    assert out == "det\n"
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "9")
     argv = ["verify", "--checks", "C1", "--n-list", "1", "--order-list", "3",
@@ -261,17 +283,6 @@ def test_console_script_on_path():
     assert proc.stdout == "1\n"
 
 
-def test_fraction_backend_fallback():
-    script = (
-        "import sys; sys.modules['gmpy2'] = None\n"
-        "import jetfields as jf\n"
-        "assert jf.BACKEND == 'fractions', jf.BACKEND\n"
-        "f = jf.Jet(1, 5, {(0,): 1, (1,): -1}).invert_unit()\n"
-        "assert f == jf.Jet(1, 5, {(k,): 1 for k in range(6)})\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+def test_fractions_is_the_only_backend():
+    assert jetfields.BACKEND == "fractions"
+    assert jetfields.Q is fractions.Fraction

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -19,6 +20,7 @@ from jetfields import (
     run_suite,
     trial_seed,
 )
+from jetfields import suite
 from jetfields.suite import _serialize_inputs
 
 SMALL = SuiteConfig(n_list=(1, 2), order_list=(3, 4), trials=3, seed=11)
@@ -41,14 +43,14 @@ def test_catalog_shape():
 
 
 def test_generators_mix_shears_into_every_map():
-    # every cell must see maps beyond linear/triangular ones
-    from jetfields.suite import AUTO_PARAMS, MAP_PARAMS
-
-    assert MAP_PARAMS.shears >= 2
-    assert AUTO_PARAMS.shears >= 2
-    sample = CHECKS["C5"].generate(__import__("random").Random(4), 2, 4)
-    s = sample["maps"][0]
-    assert any(sum(e) > 1 for img in s.images for e in img.terms)
+    # Every map drawn for a cell in two or more variables is non-linear:
+    # the samplers compose shears after the linear part.
+    rng = random.Random(4)
+    for ident in ("C1", "C4", "C5"):
+        for n in (2, 3):
+            for _ in range(5):
+                for s in CHECKS[ident].generate(rng, n, 4)["maps"]:
+                    assert any(sum(e) > 1 for img in s.images for e in img.terms)
 
 
 # -- seeding -------------------------------------------------------------------
@@ -129,7 +131,8 @@ def test_config_cost_guard():
     # Every config that the tests, the README and the benchmark run is
     # admitted, the stretch point with C9 included.
     for config in (SuiteConfig(), SMALL, SuiteConfig(n_list=(4,), order_list=(8,)),
-                   SuiteConfig(checks=("C9",), n_list=(5,), order_list=(2, 5))):
+                   SuiteConfig(checks=("C9",), n_list=(5,), order_list=(2, 5)),
+                   SuiteConfig(checks=("C2", "C3", "C5"), n_list=(8,), order_list=(3, 4))):
         config.validate()
     too_costly = [
         SuiteConfig(n_list=(12,)),
@@ -137,12 +140,32 @@ def test_config_cost_guard():
         SuiteConfig(checks=("C1",), n_list=(1,), order_list=(1001,)),
         SuiteConfig(checks=("C1",), n_list=(10 ** 9,), order_list=(10 ** 9,)),
         SuiteConfig(checks=("C9",), n_list=(6,), order_list=(2,)),
+        # Rings these small pass the ring ceiling; the determinant does not.
+        SuiteConfig(checks=("C2",), n_list=(20,), order_list=(2,)),
+        SuiteConfig(checks=("C2",), n_list=(43,), order_list=(2,)),
+        SuiteConfig(checks=("C3",), n_list=(9,), order_list=(2,)),
+        SuiteConfig(checks=("C5",), n_list=(9,), order_list=(3,)),
     ]
     for config in too_costly:
         with pytest.raises(ConfigError, match="too costly"):
             config.validate()
     # A ring past the ceiling only counts where some selected check applies.
     SuiteConfig(checks=("C10",), n_list=(1, 12), order_list=(3,)).validate()
+
+
+def test_single_cells_are_refused_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("no trial may start")
+
+    for ident, n in (("C9", 6), ("C2", 20)):
+        monkeypatch.setitem(
+            suite.CHECKS, ident,
+            dataclasses.replace(CHECKS[ident], generate=no_trial, evaluate=no_trial),
+        )
+        with pytest.raises(ConfigError, match="too costly"):
+            run_check(ident, n, 2, 0)
+        with pytest.raises(ConfigError, match="too costly"):
+            rerun_payload({"check": ident, "n": n, "order": 2, "maps": [], "fields": []})
 
 
 def test_inapplicable_cells_are_skipped_not_run():
