@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Every subcommand takes the ring geometry as ``-n`` (variable count) and
-``-N`` (truncation order), reads series / field / map arguments in the
-text syntax, and prints the canonical text of the result.  ``verify``
-runs the identity suite and exits 0 only when nothing failed
-unexpectedly.
+The calculator commands come from one table, ``_COMMANDS``.  Each takes
+the ring geometry as ``-n`` (variable count) and ``-N`` (truncation
+order), reads field / map arguments in the text syntax, and prints the
+canonical text of the result.  Before any text is parsed, a ring with
+more than ``suite.MAX_RING_SIZE`` monomials is refused, and so is
+``jacdet`` past ``suite.MAX_DET_VARS`` variables.  ``verify`` runs the
+identity suite and exits 0 only when nothing failed unexpectedly.
 
 Exit codes: 0 success, 1 unexpected verification failure, 2 usage or
 input errors.  Diagnostics go to stderr; results go to stdout.  The
@@ -18,22 +20,49 @@ import argparse
 import functools
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import JetfieldsError
 from .fields import pushforward
 from .maps import exp_flow
-from .suite import CHECK_IDS, SuiteConfig, _det_guard, run_suite
+from .suite import CHECK_IDS, SuiteConfig, _cost_guard, run_suite
 from .syntax import parse_field, parse_map
 
 SEED_ENV_VAR = "JETFIELDS_SEED"
 
 
-def _add_ring_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("-n", type=int, required=True, metavar="VARS",
-                    help="number of variables")
-    sp.add_argument("-N", dest="order", type=int, required=True, metavar="ORDER",
-                    help="truncation order")
+class _Operand(NamedTuple):
+    name: str
+    kind: str  # "map" or "field"
+    help: Optional[str] = None
+
+
+# Calculator commands: name -> (help, operands, operation).  Operations call
+# methods and module globals by name, and ``main`` picks parsers by kind
+# when a request runs, so a wrapper bound to any of those names sees it.
+_COMMANDS = {
+    "div": ("divergence of a vector field",
+            [_Operand("field", "field", "field text, e.g. '(x1)*d1 + (x2)*d2'")],
+            lambda field: field.divergence()),
+    "jac": ("Jacobian matrix of a map",
+            [_Operand("map", "map", "map text, e.g. 'x1 -> x1; x2 -> x2 + x1^2'")],
+            lambda fmap: fmap.jacobian_matrix()),
+    "jacdet": ("Jacobian determinant of a map", [_Operand("map", "map")],
+               lambda fmap: fmap.jacobian_det()),
+    "push": ("transport a field along an automorphism",
+             [_Operand("map", "map"), _Operand("field", "field")],
+             lambda fmap, field: pushforward(fmap, field)),
+    "compose": ("compose two maps (first acts after second)",
+                [_Operand("first", "map"), _Operand("second", "map")],
+                lambda first, second: first.compose(second)),
+    "invert": ("compositional inverse of an automorphism", [_Operand("map", "map")],
+               lambda fmap: fmap.invert()),
+    "bracket": ("commutator of two fields",
+                [_Operand("first", "field"), _Operand("second", "field")],
+                lambda first, second: first.bracket(second)),
+    "flow": ("time-1 flow of a field with adic order >= 2", [_Operand("field", "field")],
+             lambda field: exp_flow(field)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,40 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("div", help="divergence of a vector field")
-    _add_ring_args(sp)
-    sp.add_argument("field", help="field text, e.g. '(x1)*d1 + (x2)*d2'")
-
-    sp = sub.add_parser("jac", help="Jacobian matrix of a map")
-    _add_ring_args(sp)
-    sp.add_argument("map", help="map text, e.g. 'x1 -> x1; x2 -> x2 + x1^2'")
-
-    sp = sub.add_parser("jacdet", help="Jacobian determinant of a map")
-    _add_ring_args(sp)
-    sp.add_argument("map")
-
-    sp = sub.add_parser("push", help="transport a field along an automorphism")
-    _add_ring_args(sp)
-    sp.add_argument("map")
-    sp.add_argument("field")
-
-    sp = sub.add_parser("compose", help="compose two maps (first acts after second)")
-    _add_ring_args(sp)
-    sp.add_argument("first")
-    sp.add_argument("second")
-
-    sp = sub.add_parser("invert", help="compositional inverse of an automorphism")
-    _add_ring_args(sp)
-    sp.add_argument("map")
-
-    sp = sub.add_parser("bracket", help="commutator of two fields")
-    _add_ring_args(sp)
-    sp.add_argument("first")
-    sp.add_argument("second")
-
-    sp = sub.add_parser("flow", help="time-1 flow of a field with adic order >= 2")
-    _add_ring_args(sp)
-    sp.add_argument("field")
+    for name, (text, operands, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("-n", type=int, required=True, metavar="VARS",
+                        help="number of variables")
+        sp.add_argument("-N", dest="order", type=int, required=True, metavar="ORDER",
+                        help="truncation order")
+        for operand in operands:
+            sp.add_argument(operand.name, help=operand.help)
 
     sp = sub.add_parser("verify", help="run the identity verification suite")
     sp.add_argument("--checks", default=",".join(CHECK_IDS),
@@ -144,44 +147,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "div":
-            field = parse_field(args.field, args.n, args.order)
-            print(field.divergence())
-        elif args.command == "jac":
-            fmap = parse_map(args.map, args.n, args.order)
-            print(fmap.jacobian_matrix())
-        elif args.command == "jacdet":
-            _det_guard("jacdet", args.n)
-            fmap = parse_map(args.map, args.n, args.order)
-            print(fmap.jacobian_det())
-        elif args.command == "push":
-            fmap = parse_map(args.map, args.n, args.order)
-            field = parse_field(args.field, args.n, args.order)
-            print(pushforward(fmap, field))
-        elif args.command == "compose":
-            first = parse_map(args.first, args.n, args.order)
-            second = parse_map(args.second, args.n, args.order)
-            print(first.compose(second))
-        elif args.command == "invert":
-            fmap = parse_map(args.map, args.n, args.order)
-            print(fmap.invert())
-        elif args.command == "bracket":
-            first = parse_field(args.first, args.n, args.order)
-            second = parse_field(args.second, args.n, args.order)
-            print(first.bracket(second))
-        elif args.command == "flow":
-            field = parse_field(args.field, args.n, args.order)
-            print(exp_flow(field))
-        elif args.command == "verify":
+        if args.command == "verify":
             return _cmd_verify(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
+        _, operands, operation = _COMMANDS[args.command]
+        _cost_guard(args.command, args.n, args.order, det=args.command == "jacdet")
+        print(operation(*[
+            (parse_map if operand.kind == "map" else parse_field)(
+                getattr(args, operand.name), args.n, args.order)
+            for operand in operands
+        ]))
     except (JetfieldsError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

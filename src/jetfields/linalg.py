@@ -23,10 +23,6 @@ Vector = list
 Matrix = list
 
 
-def identity(n: int) -> Matrix:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
 def _integer_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
     """Each row of ``a`` times the lcm of its denominators, and those lcms."""
     rows, scales = [], []

@@ -426,16 +426,10 @@ def _rand_monomial(
 
 
 def _rand_invertible(rng: random.Random, n: int) -> LinearPart:
-    for _ in range(200):
+    while True:
         m = [[_rand_rational(rng) for _ in range(n)] for _ in range(n)]
         if linalg.det(m):
             return m
-    # Vanishingly unlikely; fall back to a unit upper-triangular matrix.
-    m = linalg.identity(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = _rand_rational(rng)
-    return m
 
 
 def random_shear(

@@ -44,7 +44,7 @@ from .fields import (
     random_divergence_free,
     random_field,
 )
-from .jets import Jet
+from .jets import Jet, _check_ring
 from .maps import (
     FormalMap,
     _rand_monomial,
@@ -533,9 +533,10 @@ _ARITY = {
 
 # -- configuration and execution ----------------------------------------------------
 
-# Cost ceilings, checked for each cell by ``_cell_check`` before any of
-# its trials runs.  A jet of order k in n variables has C(n + k, n)
-# monomials; a product of two dense ones took 4.6 ms at the stretch point
+# Cost ceilings, checked by ``_cost_guard`` for each cell before any of
+# its trials runs and for each calculator request before its text is
+# parsed.  A jet of order k in n variables has C(n + k, n) monomials; a
+# product of two dense ones took 4.6 ms at the stretch point
 # (n = 4, order 8: 495 monomials) and 11 ms at (4, 10), the largest ring
 # admitted, on a 2-vCPU Xeon under Python 3.11, and a trial runs hundreds
 # of products.  C9's grid brackets every pair of n scaled translation
@@ -552,9 +553,21 @@ MAX_DET_VARS = 8
 _DET_CHECKS = ("C2", "C3", "C5")
 
 
-def _det_guard(what: str, n: int) -> None:
-    """``ConfigError`` if Jacobian determinants in n variables are too costly."""
-    if n > MAX_DET_VARS:
+def _cost_guard(what: str, n: int, order: int, det: bool) -> None:
+    """``ConfigError`` if jets at (n, order) are too costly, or if ``det``
+    and Jacobian determinants in n variables are.
+
+    A pair that is no ring raises ``_check_ring``'s ``ValueError`` first.
+    """
+    _check_ring(n, order)
+    # C(n + order, n) > max(n, order) for positive n and order, so the
+    # first test keeps the binomial small.
+    if max(n, order) >= MAX_RING_SIZE or math.comb(n + order, n) > MAX_RING_SIZE:
+        raise ConfigError(
+            f"{what} at n={n}, order={order} is too costly: its jets have "
+            f"more than {MAX_RING_SIZE} monomials"
+        )
+    if det and n > MAX_DET_VARS:
         raise ConfigError(
             f"{what} at n={n} is too costly: Jacobian determinants are "
             f"admitted up to n = {MAX_DET_VARS}"
@@ -577,15 +590,7 @@ def _cell_check(check, n, order) -> IdentityCheck:
         raise ConfigError(f"check {check} only applies to n = {cd.n_only}")
     if order < cd.min_order:
         raise ConfigError(f"check {check} needs order >= {cd.min_order}, got {order}")
-    # C(n + order, n) > max(n, order) for positive n and order, so the
-    # first test keeps the binomial small.
-    if max(n, order) >= MAX_RING_SIZE or math.comb(n + order, n) > MAX_RING_SIZE:
-        raise ConfigError(
-            f"cell n={n}, order={order} is too costly: its jets have more "
-            f"than {MAX_RING_SIZE} monomials"
-        )
-    if check in _DET_CHECKS:
-        _det_guard(f"check {check}", n)
+    _cost_guard(f"check {check}", n, order, det=check in _DET_CHECKS)
     if check == "C9":
         # n passed the ring ceiling, so 3**n stays small.
         brackets = (3 ** n - 1) * n * (n - 1) // 2

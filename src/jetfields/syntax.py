@@ -78,10 +78,7 @@ def _tokenize(text: str) -> list[tuple]:
 
 class _Parser:
     def __init__(self, text: str, n: int, order: int) -> None:
-        if n < 1:
-            raise ValueError("variable count must be positive")
-        if order < 0:
-            raise ValueError("truncation order must be non-negative")
+        _check_ring(n, order)
         self.n = n
         self.order = order
         self.w = _width(order)
@@ -100,6 +97,18 @@ class _Parser:
 
     def fail(self, message: str) -> None:
         raise ParseError(message, self.peek()[2])
+
+    def index(self, kind: str, what: str) -> tuple[int, int]:
+        """The next variable ("var") or field symbol ("dsym") as (index, position)."""
+        _, idx, pos = self.expect(kind, what)
+        if not 1 <= idx <= self.n:
+            name = "variable x" if kind == "var" else "field symbol d"
+            raise ParseError(
+                f"unknown {name}{idx} (ring has {self.n} variable"
+                f"{'s' if self.n != 1 else ''})",
+                pos,
+            )
+        return idx, pos
 
     # series
 
@@ -127,7 +136,6 @@ class _Parser:
         terms = [(k, p, q) for k, (p, q) in acc.items() if p]
         den = lcm(*[q for _, _, q in terms])
         num = {k: p * (den // q) for k, p, q in terms}
-        _check_ring(self.n, self.order)
         return _jet(self.n, self.order, *_reduce(num, den), self.w)
 
     def _leading_sign(self) -> int:
@@ -178,13 +186,7 @@ class _Parser:
         n, w = self.n, self.w
         key = degree = 0
         while True:
-            _, idx, pos = self.expect("var", "a variable like x1")
-            if not 1 <= idx <= n:
-                raise ParseError(
-                    f"unknown variable x{idx} (ring has {n} variable"
-                    f"{'s' if n != 1 else ''})",
-                    pos,
-                )
+            idx, _ = self.index("var", "a variable like x1")
             power = 1
             if self.peek()[0] == "^":
                 self.i += 1
@@ -213,13 +215,7 @@ class _Parser:
             series = self.parse_series(stop=(")",))
             self.expect(")", "')'")
             self.expect("*", "'*' before the field symbol")
-            _, idx, pos = self.expect("dsym", "a field symbol like d1")
-            if not 1 <= idx <= self.n:
-                raise ParseError(
-                    f"unknown field symbol d{idx} (ring has {self.n} variable"
-                    f"{'s' if self.n != 1 else ''})",
-                    pos,
-                )
+            idx, _ = self.index("dsym", "a field symbol like d1")
             coeffs[idx - 1] = coeffs[idx - 1] + (series if sign > 0 else -series)
             kind = self.peek()[0]
             if kind == "end":
@@ -234,13 +230,7 @@ class _Parser:
     def parse_map(self) -> FormalMap:
         images: dict[int, Jet] = {}
         while True:
-            _, idx, pos = self.expect("var", "a variable like x1 starting a rule")
-            if not 1 <= idx <= self.n:
-                raise ParseError(
-                    f"unknown variable x{idx} (ring has {self.n} variable"
-                    f"{'s' if self.n != 1 else ''})",
-                    pos,
-                )
+            idx, pos = self.index("var", "a variable like x1 starting a rule")
             if idx in images:
                 raise ParseError(f"duplicate rule for x{idx}", pos)
             self.expect("->", "'->'")

@@ -218,6 +218,58 @@ def test_jacdet_refuses_a_costly_map_before_parsing(capsys, monkeypatch):
     assert out == "det\n"
 
 
+# Operand texts of each calculator command, valid at n = 1.
+OPERANDS = {
+    "div": ["0"], "jac": ["x1 -> x1"], "jacdet": ["x1 -> x1"],
+    "push": ["x1 -> x1", "0"], "compose": ["x1 -> x1", "x1 -> x1"],
+    "invert": ["x1 -> x1"], "bracket": ["0", "0"], "flow": ["0"],
+}
+
+
+class _Marker:
+    """Stands for a parsed operand; every method returns "marker"."""
+
+    def __getattr__(self, name):
+        return lambda *args: "marker"
+
+
+def test_every_calculator_command_refuses_a_costly_ring_before_parsing(
+    capsys, monkeypatch,
+):
+    def no_work(*args):
+        raise AssertionError("neither parsing nor the operation may start")
+
+    for name in ("parse_map", "parse_field", "pushforward", "exp_flow"):
+        monkeypatch.setattr(cli, name, no_work)
+    for argv in (["invert", "-n", "1", "-N", "1001", "x1 -> x1"],
+                 ["flow", "-n", "1", "-N", "1000000", "0"],
+                 ["div", "-n", "12", "-N", "5", "0"],
+                 ["push", "-n", "5", "-N", "10", "x1 -> x1", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "too costly" in err
+    # The largest rings at n = 4 (C(14, 4) = 1001 monomials) and at n = 1
+    # are admitted; stubs stand in for the work, which is never run here.
+    for name in ("parse_map", "parse_field"):
+        monkeypatch.setattr(cli, name, lambda *args: _Marker())
+    for name in ("pushforward", "exp_flow"):
+        monkeypatch.setattr(cli, name, lambda *args: "marker")
+    for command, texts in OPERANDS.items():
+        for n, order in (("4", "10"), ("1", "1000")):
+            assert run(capsys, command, "-n", n, "-N", order, *texts) == (0, "marker\n", "")
+
+
+@pytest.mark.parametrize("command", sorted(OPERANDS))
+@pytest.mark.parametrize("ring", [("-n", "0", "-N", "2"), ("-n", "-1", "-N", "2"),
+                                  ("-n", "1", "-N", "-1")])
+def test_bad_ring_flags_exit_2(capsys, command, ring):
+    code, out, err = run(capsys, command, *ring, *OPERANDS[command])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "9")
     argv = ["verify", "--checks", "C1", "--n-list", "1", "--order-list", "3",
