@@ -26,13 +26,12 @@ from .errors import (
     OrderMismatch,
     PrecisionExhausted,
 )
-from .jets import Jet, JetMatrix, Monomial, _apply_partials, _dot
+from .jets import Jet, JetMatrix, _apply_partials, _dot
 from .maps import (
     FormalMap,
     _as_rng,
     _divergence_free_coeffs,
-    _rand_monomial,
-    _rand_rational,
+    _rand_jet,
     matrix_inverse,
 )
 from .rationals import Q, as_rational
@@ -351,14 +350,7 @@ def random_field(n: int, order: int, seed: "int | random.Random") -> Derivation:
     p/q times a monomial, with p in -2..2 nonzero and q in {1, 2}.
     """
     rng = _as_rng(seed)
-    coeffs = []
-    for _ in range(n):
-        terms: dict[Monomial, Q] = {}
-        for _ in range(rng.randint(1, 2)):
-            exps = _rand_monomial(rng, n, 0, order)
-            if exps is not None:
-                terms[exps] = terms.get(exps, 0) + _rand_rational(rng, nonzero=True)
-        coeffs.append(Jet(n, order, terms))
+    coeffs = [_rand_jet(rng, n, order, 0, rng.randint(1, 2)) for _ in range(n)]
     return Derivation(n, order, tuple(coeffs))
 
 

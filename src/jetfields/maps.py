@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from . import linalg
@@ -41,7 +42,7 @@ from .errors import (
     SingularMatrix,
 )
 from .jets import (Jet, JetMatrix, Monomial, _apply_partials, _dot_terms, _jet, _join_layers,
-                   _lift, _limit, _lincomb, _linear_row, _negated_layers, _reduce, _width)
+                   _lift, _limit, _lincomb, _linear_row, _negated_layers, _pack, _reduce, _width)
 from .rationals import Q, RationalLike, as_rational
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -386,10 +387,13 @@ def exp_flow(field: "Derivation") -> FormalMap:
 
 # The fixed draws of the samplers.  A coefficient is p/q with p uniform in
 # -_NUMER_BOUND.._NUMER_BOUND and q drawn from _DENOMINATORS, so q = 1 twice
-# as often as q = 2.  A constant-Jacobian map composes _SHEARS shears after
-# its linear part; an automorphism adds _TAIL_TERMS tail terms to each image.
+# as often as q = 2.  The map and field samplers keep each draw as its
+# numerator over _DEN, the lcm of _DENOMINATORS, and build their jets on the
+# integer form.  A sampled map composes _SHEARS shears after its linear
+# part; an automorphism adds _TAIL_TERMS tail terms to each image.
 _NUMER_BOUND = 2
 _DENOMINATORS = (1, 1, 2)
+_DEN = lcm(*_DENOMINATORS)
 _SHEARS = 2
 _TAIL_TERMS = 2
 
@@ -400,12 +404,17 @@ def _as_rng(seed: "int | random.Random") -> random.Random:
     return random.Random(seed)
 
 
-def _rand_rational(rng: random.Random, nonzero: bool = False) -> "Q":
+def _rand_numerator(rng: random.Random, nonzero: bool = False) -> int:
+    """A random coefficient p/q, as its numerator over _DEN."""
     while True:
         num = rng.randint(-_NUMER_BOUND, _NUMER_BOUND)
         if num == 0 and nonzero:
             continue
-        return Q(num, rng.choice(_DENOMINATORS))
+        return num * (_DEN // rng.choice(_DENOMINATORS))
+
+
+def _rand_rational(rng: random.Random, nonzero: bool = False) -> "Q":
+    return Q(_rand_numerator(rng, nonzero), _DEN)
 
 
 def _rand_monomial(
@@ -425,27 +434,50 @@ def _rand_monomial(
     return tuple(exps)
 
 
-def _rand_invertible(rng: random.Random, n: int) -> LinearPart:
+def _rand_invertible(rng: random.Random, n: int) -> list[list[int]]:
+    """A random invertible linear part, as numerators over _DEN."""
     while True:
-        m = [[_rand_rational(rng) for _ in range(n)] for _ in range(n)]
+        m = [[_rand_numerator(rng) for _ in range(n)] for _ in range(n)]
         if linalg.det(m):
             return m
+
+
+def _sampled_jet(n: int, order: int, num: dict) -> Jet:
+    """The jet whose numerators over _DEN are ``num``, keyed in the layout of ``order``."""
+    return _jet(n, order, *_reduce({k: c for k, c in num.items() if c}, _DEN), _width(order))
+
+
+def _rand_jet(rng: random.Random, n: int, order: int, lo: int, count: int,
+              avoid: int | None = None, nonzero: bool = True) -> Jet:
+    """The sum of ``count`` random terms p/q * monomial of degree lo..order.
+
+    ``avoid`` is a 0-based variable index that no term involves; ``nonzero``
+    keeps p from being 0.
+    """
+    w = _width(order)
+    num: dict[int, int] = {}
+    for _ in range(count):
+        exps = _rand_monomial(rng, n, lo, order, avoid)
+        if exps is not None:
+            key = _pack(exps, w)
+            num[key] = num.get(key, 0) + _rand_numerator(rng, nonzero)
+    return _sampled_jet(n, order, num)
 
 
 def random_shear(
     n: int, order: int, seed: "int | random.Random", target: int | None = None,
 ) -> FormalMap:
-    """A random shear; identity when n or the order leaves no room for one."""
+    """A random shear x_i -> x_i + d; identity when n or the order leaves no room for one.
+
+    ``i`` is ``target`` when given and drawn otherwise.  The displacement d
+    sums one or two terms of degree 2..order free of x_i, each p/q times a
+    monomial with p in -2..2 nonzero and q in {1, 2}.
+    """
     rng = _as_rng(seed)
     if n < 2 or order < 2:
         return identity_map(n, order)
     i = target if target is not None else rng.randint(1, n)
-    terms: dict[Monomial, Q] = {}
-    for _ in range(rng.randint(1, 2)):
-        exps = _rand_monomial(rng, n, 2, order, avoid=i - 1)
-        if exps is not None:
-            terms[exps] = terms.get(exps, 0) + _rand_rational(rng, nonzero=True)
-    return shear(n, order, i, Jet(n, order, terms))
+    return shear(n, order, i, _rand_jet(rng, n, order, 2, rng.randint(1, 2), avoid=i - 1))
 
 
 def _divergence_free_coeffs(rng: random.Random, n: int, order: int) -> list[Jet]:
@@ -461,61 +493,64 @@ def _divergence_free_coeffs(rng: random.Random, n: int, order: int) -> list[Jet]
     for _ in range(rng.randint(1, 2)):
         if order >= 3 and rng.random() < 0.5:
             i, j = rng.sample(range(n), 2)
-            f_exps = _rand_monomial(rng, n, 3, order + 1)
-            f = Jet.monomial(n, order + 1, f_exps, _rand_rational(rng, nonzero=True))
+            f = _rand_jet(rng, n, order + 1, 3, 1)
             coeffs[i] = coeffs[i] + f.partial_derivative(j + 1)
             coeffs[j] = coeffs[j] - f.partial_derivative(i + 1)
         else:
             i = rng.randrange(n)
-            exps = _rand_monomial(rng, n, 2, order, avoid=i)
-            if exps is not None:
-                coeffs[i] = coeffs[i] + Jet.monomial(
-                    n, order, exps, _rand_rational(rng, nonzero=True)
-                )
+            coeffs[i] = coeffs[i] + _rand_jet(rng, n, order, 2, 1, avoid=i)
     return coeffs
 
 
-def random_const_jacobian(
-    n: int, order: int, seed: "int | random.Random", *, flows: int = 1,
-) -> FormalMap:
-    """A seeded random map with constant Jacobian determinant.
+def _sheared_linear_images(rng: random.Random, n: int, order: int) -> list[Jet]:
+    """The images of a random invertible linear map composed with _SHEARS shears.
 
-    Composes an invertible linear map, with entries p/q for p in -2..2 and
-    q in {1, 2}, with two shears and then the flows of ``flows``
-    divergence-free fields.  Shears and flows need n >= 2 and order >= 2:
-    in one variable the constant-Jacobian maps are exactly the linear ones,
-    and the result is x -> c x.
+    Shear k acts on x_i, i = k mod n + 1, with a displacement d drawn as
+    ``random_shear`` draws one.  Composing with it changes only the image
+    of x_i, which becomes image_i + d(images), so each shear is one
+    substitution.  Shears need n >= 2 and order >= 2.
     """
-    rng = _as_rng(seed)
-    result = linear_map(_rand_invertible(rng, n), order)
+    w = _width(order)
+    units = [_pack(tuple(int(k == j) for k in range(n)), w) for j in range(n)]
+    images = [_sampled_jet(n, order, dict(zip(units, row))) for row in _rand_invertible(rng, n)]
     if n >= 2 and order >= 2:
         for k in range(_SHEARS):
-            s = random_shear(n, order, rng, target=(k % n) + 1)
-            result = result.compose(s)
-        for _ in range(flows):
-            coeffs = _divergence_free_coeffs(rng, n, order)
-            images = _flow_images(n, order, coeffs)
-            result = result.compose(FormalMap(n, order, tuple(images)))
-    return result
+            i = k % n
+            d = _rand_jet(rng, n, order, 2, rng.randint(1, 2), avoid=i)
+            images[i] = images[i] + d.substitute(images)
+    return images
+
+
+def random_const_jacobian(n: int, order: int, seed: "int | random.Random") -> FormalMap:
+    """A seeded random map with constant Jacobian determinant.
+
+    An invertible linear map, with entries p/q for p in -2..2 and q in
+    {1, 2}, composed with two shears and then with the time-1 flow of a
+    divergence-free field (``random_divergence_free``).  Each flow image
+    is substituted along the sheared images.  Shears and the flow need
+    n >= 2 and order >= 2: in one variable the constant-Jacobian maps are
+    exactly the linear ones, and the result is x -> c x.
+    """
+    rng = _as_rng(seed)
+    images = _sheared_linear_images(rng, n, order)
+    if n >= 2 and order >= 2:
+        table: dict = {}
+        flow = _flow_images(n, order, _divergence_free_coeffs(rng, n, order))
+        images = [f.substitute(images, _table=table) for f in flow]
+    return FormalMap(n, order, tuple(images))
 
 
 def random_automorphism(n: int, order: int, seed: "int | random.Random") -> FormalMap:
     """A seeded random automorphism with generic higher-order terms.
 
-    Starts from the constant-Jacobian sampler without flows (linear part
-    plus two shears) and then adds two random tail terms of adic order >= 2
-    to each image, which preserves the invertible linear part.
+    An invertible linear map composed with two shears, as in
+    ``random_const_jacobian`` but with no flow, plus two random tail terms
+    of degree 2..order, with p in -2..2 (possibly zero) and q in {1, 2},
+    added to each image; the tails keep the invertible linear part.
     """
     rng = _as_rng(seed)
-    base = random_const_jacobian(n, order, rng, flows=0)
-    images = list(base.images)
+    images = _sheared_linear_images(rng, n, order)
     if order >= 2:
         for i in range(n):
-            extra: dict[Monomial, Q] = {}
-            for _ in range(_TAIL_TERMS):
-                exps = _rand_monomial(rng, n, 2, order)
-                if exps is not None:
-                    extra[exps] = extra.get(exps, 0) + _rand_rational(rng)
-            if extra:
-                images[i] = images[i] + Jet(n, order, extra)
+            images[i] = images[i] + _rand_jet(rng, n, order, 2, _TAIL_TERMS, nonzero=False)
     return FormalMap(n, order, tuple(images))

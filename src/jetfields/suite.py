@@ -242,8 +242,9 @@ def _eval_c2(n: int, order: int, inputs: Inputs) -> Outcome:
 def _eval_c3(n: int, order: int, inputs: Inputs) -> Outcome:
     (s,) = inputs["maps"]
     inv = s.invert()
-    ok = inv.jacobian_matrix() == inv.apply_matrix(matrix_inverse(s.jacobian_matrix()))
-    ok = ok and inv.jacobian_det() == inv.apply(s.jacobian_det().invert_unit())
+    js, jinv = s.jacobian_matrix(), inv.jacobian_matrix()
+    ok = jinv == inv.apply_matrix(matrix_inverse(js))
+    ok = ok and jinv.det() == inv.apply(js.det().invert_unit())
     return Outcome(ok, order - 1)
 
 

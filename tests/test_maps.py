@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import seeded_rng
@@ -23,9 +25,12 @@ from jetfields import (
     matrix_inverse,
     random_automorphism,
     random_const_jacobian,
+    random_divergence_free,
     random_shear,
     shear,
 )
+from jetfields import linalg
+from jetfields.maps import _rand_monomial, _rand_rational
 
 
 def _sigma(order: int = 4) -> FormalMap:
@@ -315,6 +320,43 @@ def test_random_shear_fixes_target_coordinate():
         s = random_shear(3, 4, rng, target=2)
         assert s.images[1].terms.get((0, 1, 0)) == Q(1)
         assert s.jacobian_det() == Jet.constant(3, 3, 1)
+
+
+def _reference_sample(n: int, order: int, rng: random.Random, automorphism: bool) -> FormalMap:
+    # The samplers' maps built from whole maps, composed one after another:
+    # linear part, two shears, then the flow of a divergence-free field or
+    # two tail terms per image.
+    while True:
+        a = [[_rand_rational(rng) for _ in range(n)] for _ in range(n)]
+        if linalg.det(a):
+            break
+    ref = linear_map(a, order)
+    for k in range(2):
+        ref = ref.compose(random_shear(n, order, rng, target=k % n + 1))
+    if not automorphism:
+        return ref.compose(exp_flow(random_divergence_free(n, order, rng)))
+    images = list(ref.images)
+    if order >= 2:
+        for i in range(n):
+            tail: dict = {}
+            for _ in range(2):
+                exps = _rand_monomial(rng, n, 2, order)
+                tail[exps] = tail.get(exps, 0) + _rand_rational(rng)
+            images[i] = images[i] + Jet(n, order, tail)
+    return FormalMap(n, order, tuple(images))
+
+
+@pytest.mark.parametrize("sampler, automorphism", [
+    (random_automorphism, True), (random_const_jacobian, False),
+])
+def test_samplers_match_composed_reference(sampler, automorphism):
+    cells = [(n, order, seed) for n in (1, 2, 3) for order in range(1, 6) for seed in range(4)]
+    cells += [(4, 8, seed) for seed in range(2)]
+    for n, order, seed in cells:
+        got_rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = sampler(n, order, got_rng)
+        assert got == _reference_sample(n, order, ref_rng, automorphism), (n, order, seed)
+        assert got_rng.random() == ref_rng.random(), (n, order, seed)
 
 
 def test_univariate_samplers_degenerate_to_linear():
