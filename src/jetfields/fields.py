@@ -26,7 +26,7 @@ from .errors import (
     OrderMismatch,
     PrecisionExhausted,
 )
-from .jets import Jet, JetMatrix, _apply_partials, _dot
+from .jets import Jet, JetMatrix, _apply_partials, _check_ring, _dot
 from .maps import (
     FormalMap,
     _as_rng,
@@ -349,6 +349,7 @@ def random_field(n: int, order: int, seed: "int | random.Random") -> Derivation:
     Each coefficient sums one or two terms of degree 0..order, each term
     p/q times a monomial, with p in -2..2 nonzero and q in {1, 2}.
     """
+    _check_ring(n, order)
     rng = _as_rng(seed)
     coeffs = [_rand_jet(rng, n, order, 0, rng.randint(1, 2)) for _ in range(n)]
     return Derivation(n, order, tuple(coeffs))
@@ -360,6 +361,7 @@ def random_divergence_free(n: int, order: int, seed: "int | random.Random") -> D
     Built from closed forms whose divergence cancels exactly.  In one
     variable the only such field is zero, which is what comes back there.
     """
+    _check_ring(n, order)
     rng = _as_rng(seed)
     coeffs = _divergence_free_coeffs(rng, n, order)
     return Derivation(n, order, tuple(coeffs))

@@ -243,25 +243,54 @@ _UNIT = ({0: 1}, 1)
 _TAIL = 2
 
 
+def _chain(key: int, n: int, w: int, table: dict) -> tuple[object, list[tuple[int, int]]]:
+    """The nearest product of ``key`` kept in ``table``, and the missing
+    (key, j) steps from it up to ``key``, lowest first.
+
+    A missing product is its parent times image j: the key's last variable
+    j, read from its lowest nonzero field, loses one power, so the parent's
+    key is ``key - (1 << shift_j) - unit``.  The chain is walked, not
+    recursed into, since in one variable it is as long as the order.
+    """
+    mask = (1 << w) - 1
+    steps = []
+    while key not in table:
+        j, shift = n - 1, 0
+        while not key >> shift & mask:
+            j -= 1
+            shift += w
+        steps.append((key, j))
+        key -= (1 << shift) + (1 << (w * n))
+    return table[key], steps[::-1]
+
+
 def _product(key: int, images: Sequence[tuple[list, int]], w: int, limit: int,
              table: dict) -> tuple[dict, int]:
     """The product of images[j] ** e_j over the exponent fields of the packed
     ``key`` (width ``w``), built on demand and kept in ``table``, which
-    starts as {0: _UNIT}.  A missing product is its parent times one image:
-    the key's last variable, read from its lowest nonzero field, loses one
-    power, so the parent's key is ``key - (1 << shift_j) - unit``."""
+    starts as {0: _UNIT}, each missing product from its parent (``_chain``)."""
     p = table.get(key)
     if p is None:
-        mask = (1 << w) - 1
-        j, shift = len(images) - 1, 0
-        while not key >> shift & mask:
-            j -= 1
-            shift += w
-        parent = _product(key - (1 << shift) - (1 << (w * len(images))), images, w, limit,
-                          table)
-        p = _reduce(*_dot_terms([(parent, images[j])], limit))
-        table[key] = p
+        p, steps = _chain(key, len(images), w, table)
+        for k, j in steps:
+            p = table[k] = _reduce(*_dot_terms([(p, images[j])], limit))
     return p
+
+
+def _split(terms: dict, i: int, n: int, w: int) -> dict[int, dict]:
+    """``terms`` as {p: S_p} with f = sum_p x_{i+1}**p * S_p (i is 0-based).
+
+    A key's exponent p of variable i is read with a shift and a mask, and
+    its key in S_p has p taken out of that field and the degree field.
+    """
+    shift = w * (n - 1 - i)
+    mask = (1 << w) - 1
+    step = (1 << shift) + (1 << (w * n))
+    groups: dict[int, dict] = {}
+    for k, c in terms.items():
+        p = k >> shift & mask
+        groups.setdefault(p, {})[k - p * step] = c
+    return groups
 
 
 def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int, limit: int,
@@ -278,13 +307,11 @@ def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int
     While more than ``_TAIL`` variables remain, variable ``i`` is folded by
     Horner: with f = sum_p head**p * S_p(rest), folding from the highest
     power down multiplies ``head`` in once per power instead of once per
-    term.  A key's head exponent p is read with a shift and a mask, and its
-    key in S_p has p taken out of that field and the degree field.  The fold
-    is truncated (Brent & Kung, J. ACM 25(4), 1978): since head**p has adic
-    order >= p, both S_p and the accumulator that the fold at power p
-    multiplies by head matter only below ``limit - p * unit``, so each fold
-    and each S_p is computed to that reduced limit, and powers whose reduced
-    limit is empty are skipped.
+    term (``_split``).  The fold is truncated (Brent & Kung, J. ACM 25(4),
+    1978): since head**p has adic order >= p, both S_p and the accumulator
+    that the fold at power p multiplies by head matter only below
+    ``limit - p * unit``, so each fold and each S_p is computed to that
+    reduced limit, and powers whose reduced limit is empty are skipped.
 
     The last ``_TAIL`` variables are evaluated as a linear combination of
     the products of their images, each product built once and kept in
@@ -302,13 +329,7 @@ def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int
         return _lincomb([(c, _product(k, images, w, full, table))
                          for k, c in terms.items() if k < limit], limit)
     unit = 1 << (w * n)
-    shift = w * (n - 1 - i)
-    mask = (1 << w) - 1
-    step = (1 << shift) + unit
-    groups: dict[int, dict] = {}
-    for k, c in terms.items():
-        p = k >> shift & mask
-        groups.setdefault(p, {})[k - p * step] = c
+    groups = _split(terms, i, n, w)
     head = images[i]
     acc: tuple[dict, int] = ({}, 1)
     for power in range(min(max(groups), limit // unit - 1), -1, -1):
@@ -318,6 +339,108 @@ def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int
         if sub is not None:
             acc = _add_terms(acc, _subst_terms(sub, images, i + 1, w, lim, table, full))
     return acc
+
+
+# -- relaxed evaluation ---------------------------------------------------------------
+
+_EMPTY: tuple[list, int] = ([], 1)
+
+
+class _Layers:
+    """A power series held as its homogeneous parts, lowest degree first.
+
+    ``layers[d]`` is the degree-d part as a reduced (numerator items in no
+    particular order, denominator) pair.  ``grow`` appends layers: layer d
+    is sum_a prev_a * head_{d-a} over the nonempty layers a < d of ``prev``,
+    plus sum c * t_d over ``terms``, pairs of a constant form c and a
+    series t.  Every product lands on degree d, so the layer is one product
+    pass that truncates nothing, and its items need no order.  The layers
+    a series starts with are given.
+
+    ``shift`` says how far the series may lag the round: in round k it is
+    needed through layer k - shift (``_schedule``).
+    """
+
+    __slots__ = ("layers", "prev", "head", "terms", "shift")
+
+    def __init__(self, layers: list, prev: "_Layers | None" = None,
+                 head: "_Layers | None" = None, terms: list | None = None) -> None:
+        self.layers, self.prev, self.head = layers, prev, head
+        self.terms = [] if terms is None else terms
+        self.shift = math.inf
+
+    def grow(self, d: int, limit: int) -> None:
+        """Append the layers through degree d.  The layers they read must be
+        there already; a missing one raises IndexError."""
+        layers = self.layers
+        while len(layers) <= d:
+            e = len(layers)
+            pairs = [(c, part) for c, t in self.terms if (part := t.layers[e])[0]]
+            if self.prev is not None:
+                low, head = self.prev.layers, self.head.layers
+                pairs += [(low[a], head[e - a]) for a in range(e) if low[a][0]]
+            if pairs:
+                num, den = _reduce(*_dot_terms(pairs, limit))
+                layers.append((list(num.items()), den))
+            else:
+                layers.append(_EMPTY)
+
+
+def _schedule(nodes: Sequence[_Layers]) -> None:
+    """Set every series' shift from its readers' shifts.
+
+    ``nodes`` lists each series after every series it reads, so one pass
+    from the end sees all readers of a series before the series.  A
+    reader's layer d reads its terms at d and its ``prev`` below d, so a
+    term may lag as far as its reader and a ``prev`` one degree further.
+    """
+    for node in reversed(nodes):
+        if node.prev is not None:
+            node.prev.shift = min(node.prev.shift, node.shift + 1)
+        for _, t in node.terms:
+            t.shift = min(t.shift, node.shift)
+
+
+def _layered_product(key: int, heads: Sequence[_Layers], w: int, table: dict,
+                     nodes: list) -> _Layers:
+    """The series prod heads[j] ** e_j over the exponent fields of ``key``.
+
+    As in ``_product``, each missing product is its parent times one head
+    (``_chain``), and products are kept in ``table``, which holds at least
+    those of degree 0 and 1.  A product of degree e starts with its e empty
+    layers.  Each new series joins ``nodes`` after its parent.
+    """
+    n = len(heads)
+    node, steps = _chain(key, n, w, table)
+    for k, j in steps:
+        node = table[k] = _Layers([_EMPTY] * (k >> (w * n)), node, heads[j])
+        nodes.append(node)
+    return node
+
+
+def _relaxed_terms(terms: dict, heads: Sequence[_Layers], i: int, w: int, table: dict,
+                   nodes: list) -> list[tuple[int, _Layers]]:
+    """A polynomial at the series ``heads``, as (numerator, series) pairs that sum to it.
+
+    The plan is ``_subst_terms``'s: ``terms`` has the same layout, Horner
+    folds variable ``i`` while more than ``_TAIL`` variables remain, and the
+    last ``_TAIL`` are table products (``_layered_product``).  A fold at
+    power p is a series whose ``prev`` is the fold at p + 1, its head the
+    head of variable i, and its terms those of S_p, so one layer of a fold
+    is one product pass.  New series join ``nodes`` after what they read.
+    """
+    if not terms:
+        return []
+    n = len(heads)
+    if n - i <= _TAIL:
+        return [(c, _layered_product(k, heads, w, table, nodes)) for k, c in terms.items()]
+    groups = _split(terms, i, n, w)
+    acc = None
+    for power in range(max(groups), -1, -1):
+        sub = _relaxed_terms(groups.get(power, {}), heads, i + 1, w, table, nodes)
+        acc = _Layers([], acc, heads[i], [(([(0, c)], 1), t) for c, t in sub])
+        nodes.append(acc)
+    return [(1, acc)]
 
 
 def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
@@ -372,11 +495,11 @@ def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
 
     ``k`` must not exceed the coefficients' orders.  The partials are exact
     only to f.order - 1; a larger ``k`` is for callers whose error analysis
-    covers the missing degree, as with ``_lift``.  Each partial is built
-    straight from f's numerators and kept over f's denominator, with no jet
-    and no reduction in between.  Operands go in as ``_form`` gives them,
-    except that a partial in another key layout is repacked, dropping its
-    degrees above k.
+    covers the missing degree, as ``maps._flow_images`` does.  Each partial
+    is built straight from f's numerators and kept over f's denominator,
+    with no jet and no reduction in between.  Operands go in as ``_form``
+    gives them, except that a partial in another key layout is repacked,
+    dropping its degrees above k.
     """
     n, w = f.n, _width(k)
     pairs = []
@@ -388,15 +511,6 @@ def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
             pairs.append((_form(a, k), (part, f._den)))
     num, den = _dot_terms(pairs, _limit(k, n, w))
     return _jet(n, k, *_reduce(num, den), w)
-
-
-def _lift(jet: "Jet", k: int) -> "Jet":
-    """The same polynomial, claimed exact to order ``k >= jet.order``.
-
-    Internal only: for algorithms whose error analysis shows that the
-    missing degrees cannot reach the part of the result they keep.
-    """
-    return _jet(jet.n, k, jet._num, jet._den, jet._w)
 
 
 def _linear_row(jet: "Jet") -> list["Q"]:

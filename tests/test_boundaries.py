@@ -226,6 +226,18 @@ def test_invert_order_two_closed_form():
     assert s.invert() == expected
 
 
+def test_invert_and_substitute_build_product_chains_as_long_as_the_order():
+    # In one variable the table product x1^1000 grows from x1 through 999
+    # parents, walked without recursion.
+    n, order = 1, 1000
+    g = Jet(n, order, {(1,): 1, (order,): 1})
+    assert FormalMap(n, order, (g,)).invert() == FormalMap(
+        n, order, (Jet(n, order, {(1,): 1, (order,): -1}),))
+    f = Jet(n, order, {(order,): 1})
+    assert f.substitute([Jet(n, order, {(1,): 2, (order - 1,): 1})]) == Jet(
+        n, order, {(order,): 2 ** order})
+
+
 # -- products whose mixed denominators cancel ---------------------------------------
 
 

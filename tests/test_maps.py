@@ -26,10 +26,11 @@ from jetfields import (
     random_automorphism,
     random_const_jacobian,
     random_divergence_free,
+    random_field,
     random_shear,
     shear,
 )
-from jetfields import linalg
+from jetfields import jets, linalg
 from jetfields.maps import _rand_monomial, _rand_rational
 
 
@@ -117,6 +118,25 @@ def test_invert_rejects_singular_linear_part():
     assert not squash.is_automorphism
     with pytest.raises(SingularMatrix):
         squash.invert()
+
+
+def test_invert_work_grows_quadratically_in_one_variable(monkeypatch):
+    # Summed operand-length products over every product pass of one invert
+    # of x1 -> x1 + x1^2.  Each layer of w is one pass over the layers
+    # below it, so the work grows as N^2 (ratio 4 from N = 40 to 80);
+    # substituting again at every order grows as N^3 (ratio 8).
+    work = []
+    real = jets._dot_terms
+
+    def counting(pairs, limit):
+        work[-1] += sum(len(a) * len(b) for (a, _), (b, _) in pairs)
+        return real(pairs, limit)
+
+    monkeypatch.setattr(jets, "_dot_terms", counting)
+    for order in (40, 80):
+        work.append(0)
+        FormalMap(1, order, (Jet(1, order, {(1,): 1, (2,): 1}),)).invert()
+    assert work[1] <= 5 * work[0], work
 
 
 def test_chain_rule_style_pullback():
@@ -320,6 +340,18 @@ def test_random_shear_fixes_target_coordinate():
         s = random_shear(3, 4, rng, target=2)
         assert s.images[1].terms.get((0, 1, 0)) == Q(1)
         assert s.jacobian_det() == Jet.constant(3, 3, 1)
+
+
+@pytest.mark.parametrize("sampler", [
+    random_automorphism, random_const_jacobian, random_shear, random_field,
+    random_divergence_free,
+])
+@pytest.mark.parametrize("n, order", [(2, "3"), (2.0, 3), (True, 3), (0, 3), (-1, 3), (2, -1)])
+def test_samplers_check_the_ring_before_drawing(sampler, n, order):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match=r"^(variable count|truncation order) must be a"):
+        sampler(n, order, rng)
+    assert rng.random() == random.Random(0).random()
 
 
 def _reference_sample(n: int, order: int, rng: random.Random, automorphism: bool) -> FormalMap:

@@ -3,18 +3,24 @@
 Products, substitution, determinants, Jacobian matrices and determinants,
 the derivation action and matrix inversion are compared with sympy's
 expansion of the same polynomials, cut at the order the kernel claims, and
-every comparison also asserts that claimed order.  The fraction-free
-``linalg.det`` and ``linalg.inverse`` are compared with sympy's rational
-matrices.  The whole module is skipped where sympy is not installed.
+every comparison also asserts that claimed order.  Map inversion is
+checked by composing with sympy's sparse polynomials, in both directions.
+The fraction-free ``linalg.det`` and ``linalg.inverse`` are compared with
+sympy's rational matrices.  The whole module is skipped where sympy is not
+installed.
 """
 
 from __future__ import annotations
 
+import itertools
+from math import comb
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.rings import ring  # noqa: E402
 
 from conftest import derivations, exponent_tuples, jets, rationals, seeded_rng  # noqa: E402
 from jetfields import (FormalMap, Jet, JetMatrix, Q, SingularMatrix, linalg,  # noqa: E402
@@ -159,6 +165,90 @@ def test_matrix_inverse_matches_sympy(m):
                     for j in range(n)] for i in range(n)]
         assert [[truncated_terms(product[i][j], n, m.order) for j in range(n)]
                 for i in range(n)] == identity
+
+
+# -- compositional inverse ------------------------------------------------------------
+
+
+def higher_monomials(n: int, order: int) -> list:
+    return [e for e in itertools.product(range(order + 1), repeat=n) if 2 <= sum(e) <= order]
+
+
+def map_with_linear_part(n: int, order: int, a, higher: list[dict]) -> FormalMap:
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return FormalMap(n, order, tuple(
+        Jet(n, order, {**dict(zip(units, row)), **terms}) for row, terms in zip(a, higher)
+    ))
+
+
+@st.composite
+def invertible_maps(draw):
+    # An invertible linear part plus higher terms: a coefficient on every
+    # monomial of a small ring, or up to three terms per image.
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n)
+             .filter(lambda c: linalg.det(c) != 0))
+    monomials = higher_monomials(n, order)
+    if not monomials:
+        terms = st.just({})
+    elif comb(n + order, n) <= 35 and draw(st.booleans()):
+        terms = st.fixed_dictionaries({e: rationals() for e in monomials})
+    else:
+        terms = st.dictionaries(st.sampled_from(monomials), rationals(), max_size=3)
+    return map_with_linear_part(n, order, a, [draw(terms) for _ in range(n)])
+
+
+def seeded_map(n: int, order: int) -> FormalMap:
+    rng = seeded_rng(f"invert-oracle-{n}-{order}")
+    while True:
+        a = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if linalg.det(a):
+            break
+    monomials = higher_monomials(n, order)
+    higher = [{e: Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+               for e in rng.sample(monomials, 3) + [(0,) * (n - 1) + (order,)]}
+              for _ in range(n)]
+    return map_with_linear_part(n, order, a, higher)
+
+
+def composed(f, images, order: int, r):
+    """f(images) through total degree ``order``, in sympy's sparse polynomial ring ``r``.
+
+    Each product of images is built from a product one degree lower and
+    truncated as it is built, so no degree past ``order`` is expanded.
+    """
+    def cut(p):
+        return r({m: c for m, c in p.items() if sum(m) <= order})
+
+    products = {(0,) * r.ngens: r.one}
+
+    def product(m):
+        if m not in products:
+            j = max(i for i, e in enumerate(m) if e)
+            products[m] = cut(product(m[:j] + (m[j] - 1,) + m[j + 1:]) * images[j])
+        return products[m]
+
+    return cut(sum((c * product(m) for m, c in f.items()), r.zero))
+
+
+@EXAMPLES
+@given(invertible_maps())
+@example(seeded_map(2, 15))
+@example(seeded_map(2, 16))
+def test_invert_matches_sympy(sigma):
+    inv = sigma.invert()
+    assert inv.order == sigma.order
+    n, order = sigma.n, sigma.order
+    r = ring(",".join(map(str, XS[:n])), sympy.QQ)[0]
+
+    def polys(fmap):
+        return [r({e: sympy.QQ(c.numerator, c.denominator) for e, c in img.terms.items()})
+                for img in fmap.images]
+
+    s, t = polys(sigma), polys(inv)
+    for outer, inner in ((s, t), (t, s)):
+        assert [composed(f, inner, order, r) for f in outer] == list(r.gens)
 
 
 @st.composite
