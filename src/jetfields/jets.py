@@ -350,23 +350,22 @@ class _Layers:
     """A power series held as its homogeneous parts, lowest degree first.
 
     ``layers[d]`` is the degree-d part as a reduced (numerator items in no
-    particular order, denominator) pair.  ``grow`` appends layers: layer d
-    is sum_a prev_a * head_{d-a} over the nonempty layers a < d of ``prev``,
-    plus sum c * t_d over ``terms``, pairs of a constant form c and a
-    series t.  Every product lands on degree d, so the layer is one product
-    pass that truncates nothing, and its items need no order.  The layers
-    a series starts with are given.
+    particular order, positive denominator) pair.  The layers a series
+    starts with are given, and ``grow`` appends the rest: layer d is
+    sum prev_a * head_{d-a} over its ``links`` (prev, head) and the nonempty
+    layers a < d of prev, plus sum c * t_d over its ``terms`` (c, t), pairs
+    of a constant form and a series.  Since a < d, a series may link to
+    itself.  Every product lands on degree d, so a layer is one product pass
+    that truncates nothing, and its items need no order.
 
     ``shift`` says how far the series may lag the round: in round k it is
-    needed through layer k - shift (``_schedule``).
+    needed through layer k - shift (``_lift``).
     """
 
-    __slots__ = ("layers", "prev", "head", "terms", "shift")
+    __slots__ = ("layers", "links", "terms", "shift")
 
-    def __init__(self, layers: list, prev: "_Layers | None" = None,
-                 head: "_Layers | None" = None, terms: list | None = None) -> None:
-        self.layers, self.prev, self.head = layers, prev, head
-        self.terms = [] if terms is None else terms
+    def __init__(self, layers: list, links: Sequence = (), terms: Sequence = ()) -> None:
+        self.layers, self.links, self.terms = layers, list(links), list(terms)
         self.shift = math.inf
 
     def grow(self, d: int, limit: int) -> None:
@@ -376,9 +375,9 @@ class _Layers:
         while len(layers) <= d:
             e = len(layers)
             pairs = [(c, part) for c, t in self.terms if (part := t.layers[e])[0]]
-            if self.prev is not None:
-                low, head = self.prev.layers, self.head.layers
-                pairs += [(low[a], head[e - a]) for a in range(e) if low[a][0]]
+            for prev, head in self.links:
+                low, high = prev.layers, head.layers
+                pairs += [(low[a], high[e - a]) for a in range(e) if low[a][0]]
             if pairs:
                 num, den = _reduce(*_dot_terms(pairs, limit))
                 layers.append((list(num.items()), den))
@@ -386,19 +385,35 @@ class _Layers:
                 layers.append(_EMPTY)
 
 
-def _schedule(nodes: Sequence[_Layers]) -> None:
-    """Set every series' shift from its readers' shifts.
+def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int, limit: int) -> None:
+    """Grow ``results`` through layer ``order``, one layer a round, with the
+    series in ``nodes`` that they read.
 
-    ``nodes`` lists each series after every series it reads, so one pass
-    from the end sees all readers of a series before the series.  A
-    reader's layer d reads its terms at d and its ``prev`` below d, so a
-    term may lag as far as its reader and a ``prev`` one degree further.
+    ``nodes`` lists each series after every series it reads; the results
+    come last and may read themselves and each other through links.  A
+    layer reads its terms at its own degree and its prevs below it, so one
+    pass from the end sets each series' shift: a term may lag as far as its
+    reader and a prev one degree further.  Round k then grows each series
+    through layer k - shift.  Heads are given in full or are results, and a
+    result's layer k must not be read in round k.  Afterwards every link and
+    term is dropped: results that read themselves or each other, and
+    products whose heads are results, would otherwise be cycles that only
+    the cyclic garbage collector frees.
     """
+    for s in results:
+        s.shift = 0
+    nodes = [*nodes, *results]
     for node in reversed(nodes):
-        if node.prev is not None:
-            node.prev.shift = min(node.prev.shift, node.shift + 1)
+        for prev, _ in node.links:
+            prev.shift = min(prev.shift, node.shift + 1)
         for _, t in node.terms:
             t.shift = min(t.shift, node.shift)
+    for k in range(1, order + 1):
+        for node in nodes:
+            if len(node.layers) <= k - node.shift:
+                node.grow(k - node.shift, limit)
+    for node in nodes:
+        node.links = node.terms = ()
 
 
 def _layered_product(key: int, heads: Sequence[_Layers], w: int, table: dict,
@@ -413,7 +428,7 @@ def _layered_product(key: int, heads: Sequence[_Layers], w: int, table: dict,
     n = len(heads)
     node, steps = _chain(key, n, w, table)
     for k, j in steps:
-        node = table[k] = _Layers([_EMPTY] * (k >> (w * n)), node, heads[j])
+        node = table[k] = _Layers([_EMPTY] * (k >> (w * n)), [(node, heads[j])])
         nodes.append(node)
     return node
 
@@ -425,9 +440,8 @@ def _relaxed_terms(terms: dict, heads: Sequence[_Layers], i: int, w: int, table:
     The plan is ``_subst_terms``'s: ``terms`` has the same layout, Horner
     folds variable ``i`` while more than ``_TAIL`` variables remain, and the
     last ``_TAIL`` are table products (``_layered_product``).  A fold at
-    power p is a series whose ``prev`` is the fold at p + 1, its head the
-    head of variable i, and its terms those of S_p, so one layer of a fold
-    is one product pass.  New series join ``nodes`` after what they read.
+    power p links to the fold at p + 1 with the head of variable i, and its
+    terms are those of S_p.  New series join ``nodes`` after what they read.
     """
     if not terms:
         return []
@@ -435,10 +449,11 @@ def _relaxed_terms(terms: dict, heads: Sequence[_Layers], i: int, w: int, table:
     if n - i <= _TAIL:
         return [(c, _layered_product(k, heads, w, table, nodes)) for k, c in terms.items()]
     groups = _split(terms, i, n, w)
-    acc = None
+    links: list = []
     for power in range(max(groups), -1, -1):
         sub = _relaxed_terms(groups.get(power, {}), heads, i + 1, w, table, nodes)
-        acc = _Layers([], acc, heads[i], [(([(0, c)], 1), t) for c, t in sub])
+        acc = _Layers([], links, [(([(0, c)], 1), t) for c, t in sub])
+        links = [(acc, heads[i])]
         nodes.append(acc)
     return [(1, acc)]
 
@@ -524,14 +539,14 @@ def _linear_row(jet: "Jet") -> list["Q"]:
     return out
 
 
-def _negated_layers(jet: "Jet") -> list[tuple[list, int]]:
-    """The homogeneous parts of ``-jet`` in degrees 0..order, each as
-    (numerator items in no particular order, the jet's denominator)."""
+def _scaled_layers(jet: "Jet", s: int, den: int) -> list[tuple[list, int]]:
+    """The jet's numerators times ``s``, split into degrees 0..order, each
+    part as (numerator items in no particular order, ``den``)."""
     shift = jet._w * jet.n
     parts: list[list] = [[] for _ in range(jet.order + 1)]
     for k, c in jet._num.items():
-        parts[k >> shift].append((k, -c))
-    return [(part, jet._den) for part in parts]
+        parts[k >> shift].append((k, s * c))
+    return [(part, den) for part in parts]
 
 
 def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet":
@@ -833,26 +848,21 @@ class Jet:
     def invert_unit(self) -> "Jet":
         """Multiplicative inverse, defined when the constant term is nonzero.
 
-        Writes the jet as c*(1 - u) with u of positive adic order and sums
-        the geometric series in u, which terminates at the truncation order.
+        With this jet (c + r)/den, c its constant numerator, the inverse x
+        solves x = den/c + u x for u = -r/c, which has no constant term, so
+        x is lifted one layer a round from den/c (``_lift``), one product's
+        worth of multiply-adds in all.
         """
         c = self._num.get(0)
         if not c:
             raise NotAUnit("jet has zero constant term and is not invertible")
-        # u = -(self - c)/c, held as numerators over |c|.
-        sign = -1 if c > 0 else 1
-        u = ({e: sign * v for e, v in self._num.items() if e}, abs(c))
-        limit = _limit(self.order, self.n, self._w)
-        total = power = _UNIT
-        for _ in range(self.order):
-            power = _dot_terms([(power, u)], limit)
-            if not power[0]:
-                break
-            total = _add_terms(total, power)
-        # The inverse is (den/c) * total.
-        scale = self._den if c > 0 else -self._den
-        num = {e: v * scale for e, v in total[0].items()}
-        return _jet(self.n, self.order, *_reduce(num, total[1] * abs(c)), self._w)
+        # den/c and u over |c|: layer denominators stay positive.
+        sign = 1 if c > 0 else -1
+        num, den = _reduce({0: sign * self._den}, abs(c))
+        x = _Layers([(list(num.items()), den)])
+        x.links = [(x, _Layers(_scaled_layers(self, -sign, abs(c))))]
+        _lift([], [x], self.order, _limit(self.order, self.n, self._w))
+        return _join_layers(self.n, self.order, x.layers)
 
     # serialization
 

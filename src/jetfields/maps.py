@@ -41,9 +41,9 @@ from .errors import (
     PrecisionExhausted,
     SingularMatrix,
 )
-from .jets import (_EMPTY, Jet, JetMatrix, Monomial, _apply_partials, _check_ring, _dot_terms,
-                   _jet, _join_layers, _Layers, _limit, _linear_row, _negated_layers, _pack, _reduce,
-                   _relaxed_terms, _schedule, _width)
+from .jets import (_EMPTY, Jet, JetMatrix, Monomial, _apply_partials, _check_ring, _jet,
+                   _join_layers, _Layers, _lift, _limit, _linear_row, _pack, _reduce,
+                   _relaxed_terms, _scaled_layers, _width)
 from .rationals import Q, RationalLike, as_rational
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,22 +153,16 @@ class FormalMap:
 
         Splits the images into linear part plus higher terms, sigma = A x + h,
         and solves w = A^-1 (x - h(w)) one degree layer at a time (Brent and
-        Kung's reversion by lifting).  Layer 1 of w is A^-1 x.  h has adic
-        order >= 2, so the degree-k layer of h(w) reads w only through layer
-        k - 1, and round k sets w_k = -A^-1 h(w)_k, for k = 2..order.
+        Kung's reversion by lifting), from layer 1, A^-1 x.  h has adic order
+        >= 2, so the degree-k layer of h(w) reads w only below k, as
+        ``jets._lift`` requires of a result that is also a head.
 
         h(w) is evaluated relaxed (van der Hoeven, "Relax, but don't be too
         lazy", J. Symb. Comput. 34(6), 2002) on the plan of ``substitute``:
         Horner folds over the leading variables while more than ``_TAIL``
         remain, and products of the last ``_TAIL`` images, shared by the n
-        images.  Every fold and product keeps its own layers, and round k
-        adds one layer to each, in one product pass over pairs of layers
-        whose degrees sum to it, so no round redoes an earlier one and all
-        rounds together do at most one substitution's multiply-adds.  A
-        series multiplied by head**p is needed p degrees below the round;
-        empty low layers are skipped, so layer k of w is read by no one in
-        round k, and a missing layer raises IndexError.  The layers of w
-        are joined once, at the end.
+        images, each a series that ``jets._lift`` grows one layer a round, so
+        all rounds together do at most one substitution's multiply-adds.
 
         Evaluating through the products table alone, with no Horner folds,
         was measured and dropped.  Against lifting by a full substitution
@@ -205,15 +199,7 @@ class FormalMap:
             for (coeffs, d), s in zip(rows, ws):
                 if coeffs[i]:
                     s.terms += [(([(0, -coeffs[i] * c)], d * img._den), t) for c, t in parts]
-        for s in ws:
-            s.shift = 0
-        nodes += ws
-        _schedule(nodes)
-        limit = _limit(cap, n, w)
-        for k in range(2, cap + 1):
-            for node in nodes:
-                if len(node.layers) <= k - node.shift:
-                    node.grow(k - node.shift, limit)
+        _lift(nodes, ws, cap, _limit(cap, n, w))
         return FormalMap(n, cap, tuple(_join_layers(n, cap, s.layers) for s in ws))
 
     # comparison and serialization
@@ -309,17 +295,11 @@ def shear(n: int, order: int, i: int, displacement: Jet) -> FormalMap:
 def matrix_inverse(m: JetMatrix) -> JetMatrix:
     """Inverse of a jet matrix whose constant term is invertible.
 
-    Lifts the inverse one degree at a time.  With C the constant matrix,
-    M X = I reads X = C^-1 + V X, where V = I - C^-1 M has no constant
-    term.  So the degree-0 part of X is C^-1, and for d = 1..order its
-    degree-d part is X_d = sum_{a=1..d} V_a X_{d-a}, with V_a the degree-a
-    part of V.  X_0 and the constant jets of C^-1 are built straight from
-    the numerators and denominators of ``linalg.inverse``; V_a, for a >= 1,
-    is the negated degree-a part of C^-1 M, split from its integer form.
-    Each entry of each X_d is one pass of products on the integer form,
-    reduced once; every product lands on degree d, so none is truncated
-    away or computed twice.  The parts are disjoint in degree and are
-    joined into the result once, at the end.
+    With C the constant matrix, M X = I reads X = C^-1 + V X, where
+    V = I - C^-1 M has no constant term.  So X[i][j] is the series that
+    starts at C^-1[i][j] and links to X[l][j] with head V[i][l] for each l,
+    lifted one degree layer a round by ``jets._lift``: each pair of terms of
+    V and X is multiplied once.
 
     Newton doubling, X <- X + X(I - MX), does more work here.  Products are
     schoolbook, so its asymptotic advantage does not apply, and the
@@ -334,31 +314,17 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     n, order = m.n, m.order
     w = _width(order)
     ainv = linalg.inverse([[e.constant_term for e in row] for row in m.rows])
-    # x[b][l][j] is the degree-b part of X[l][j], as (numerator items,
-    # denominator).  Every product of a pass lands below the limit, so the
-    # parts go in unsorted (see _dot_terms).
-    x = [[[([(0, c.numerator)], c.denominator) if c else ([], 1) for c in row]
-          for row in ainv]]
-    cinv = JetMatrix(tuple(tuple(_jet(n, order, dict(part), d, w) for part, d in row)
-                           for row in x[0]))
-    # v[i][l][a] is the degree-a part of V[i][l], split off C^-1 M and
-    # negated on the way; its degree-0 part is never read.
-    v = [[_negated_layers(e) for e in row] for row in (cinv @ m).rows]
-    limit = _limit(order, n, w)
-    for d in range(1, order + 1):
-        layer = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                pairs = [(v[i][l][a], x[d - a][l][j]) for a in range(1, d + 1) for l in range(n)]
-                num, den = _reduce(*_dot_terms(pairs, limit))
-                row.append((list(num.items()), den))
-            layer.append(row)
-        x.append(layer)
-    return JetMatrix(tuple(
-        tuple(_join_layers(n, order, [part[i][j] for part in x]) for j in range(n))
-        for i in range(n)
-    ))
+    cinv = JetMatrix(tuple(tuple(_jet(n, order, {0: c.numerator} if c else {}, c.denominator, w)
+                                 for c in row) for row in ainv))
+    # V, split off C^-1 M by degree and negated; its degree-0 part is never read.
+    v = [[_Layers(_scaled_layers(e, -1, e._den)) for e in row] for row in (cinv @ m).rows]
+    x = [[_Layers([([(0, c.numerator)] if c else [], c.denominator)]) for c in row]
+         for row in ainv]
+    for i, row in enumerate(x):
+        for j, s in enumerate(row):
+            s.links = [(x[l][j], v[i][l]) for l in range(n)]
+    _lift([], [s for row in x for s in row], order, _limit(order, n, w))
+    return JetMatrix(tuple(tuple(_join_layers(n, order, s.layers) for s in row) for row in x))
 
 
 # -- flows -------------------------------------------------------------------------
@@ -480,6 +446,12 @@ def _rand_jet(rng: random.Random, n: int, order: int, lo: int, count: int,
     return _sampled_jet(n, order, num)
 
 
+def _check_map_ring(n: int, order: int) -> None:
+    _check_ring(n, order)
+    if order < 1:
+        raise ValueError(f"maps need truncation order >= 1, got {order!r}")
+
+
 def random_shear(
     n: int, order: int, seed: "int | random.Random", target: int | None = None,
 ) -> FormalMap:
@@ -489,7 +461,7 @@ def random_shear(
     sums one or two terms of degree 2..order free of x_i, each p/q times a
     monomial with p in -2..2 nonzero and q in {1, 2}.
     """
-    _check_ring(n, order)
+    _check_map_ring(n, order)
     rng = _as_rng(seed)
     if n < 2 or order < 2:
         return identity_map(n, order)
@@ -548,7 +520,7 @@ def random_const_jacobian(n: int, order: int, seed: "int | random.Random") -> Fo
     n >= 2 and order >= 2: in one variable the constant-Jacobian maps are
     exactly the linear ones, and the result is x -> c x.
     """
-    _check_ring(n, order)
+    _check_map_ring(n, order)
     rng = _as_rng(seed)
     images = _sheared_linear_images(rng, n, order)
     if n >= 2 and order >= 2:
@@ -566,7 +538,7 @@ def random_automorphism(n: int, order: int, seed: "int | random.Random") -> Form
     of degree 2..order, with p in -2..2 (possibly zero) and q in {1, 2},
     added to each image; the tails keep the invertible linear part.
     """
-    _check_ring(n, order)
+    _check_map_ring(n, order)
     rng = _as_rng(seed)
     images = _sheared_linear_images(rng, n, order)
     if order >= 2:

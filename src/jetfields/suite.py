@@ -75,6 +75,7 @@ class IdentityCheck:
     min_order: int
     generate: Callable[[random.Random, int, int], Inputs]
     evaluate: Callable[[int, int, Inputs], Outcome]
+    arity: tuple[int, int]  # the (maps, fields) counts ``generate`` returns
     n_only: Optional[int] = None
     control: Optional[Callable[[int, int], "ControlResult"]] = None
 
@@ -470,66 +471,60 @@ CHECKS: dict[str, IdentityCheck] = {
         IdentityCheck(
             "C1", "jacobian-chain-rule",
             "J(compose(s,t)) == J(s) @ s(J(t))",
-            2, _gen_two_autos, _eval_c1,
+            2, _gen_two_autos, _eval_c1, (2, 0),
         ),
         IdentityCheck(
             "C2", "jacobian-det-cocycle",
             "detJ(compose(s,t)) == detJ(s) * s(detJ(t))",
-            2, _gen_two_autos, _eval_c2,
+            2, _gen_two_autos, _eval_c2, (2, 0),
         ),
         IdentityCheck(
             "C3", "inverse-jacobian-formulas",
             "J(invert(s)) == invert(s)(J(s)^-1), same for detJ",
-            2, _gen_one_auto, _eval_c3,
+            2, _gen_one_auto, _eval_c3, (1, 0),
         ),
         IdentityCheck(
             "C4", "piola-identity",
             "sum_j d_j (J^-1)[i][j] == 0 for constant-Jacobian maps",
-            3, _gen_const_jacobian, _eval_c4,
+            3, _gen_const_jacobian, _eval_c4, (1, 0),
         ),
         IdentityCheck(
             "C5", "divergence-equivariance",
             "div(push(s, D)) == s(div(D)) for constant-Jacobian s",
-            3, _gen_const_jacobian_and_field, _eval_c5,
+            3, _gen_const_jacobian_and_field, _eval_c5, (1, 1),
             control=_c5_control,
         ),
         IdentityCheck(
             "C6", "bracket-divergence",
             "div[D,E] == D(div E) - E(div D); const-div fields close up",
-            3, _gen_c6, _eval_c6,
+            3, _gen_c6, _eval_c6, (0, 4),
         ),
         IdentityCheck(
             "C7", "pushforward-bracket",
             "push(s,[D,E]) == [push(s,D), push(s,E)]; push(compose(s,t), D) == push(s, push(t, D))",
-            3, _gen_c7, _eval_c7,
+            3, _gen_c7, _eval_c7, (2, 2),
         ),
         IdentityCheck(
             "C8", "frame-duality",
             "push(s, d_i) applied to s(x_j) == delta_ij",
-            3, _gen_one_auto, _eval_c8,
+            3, _gen_one_auto, _eval_c8, (1, 0),
         ),
         IdentityCheck(
             "C9", "partials-centralizer",
             "[d_i, D] == 0 for all i iff D has constant coefficients; "
             "scaled translations do not commute",
-            2, _gen_c9, _eval_c9,
+            2, _gen_c9, _eval_c9, (0, 3),
         ),
         IdentityCheck(
             "C10", "univariate-structure",
             "in one variable the constant-divergence fields are span{d, x d}",
-            2, _gen_c10, _eval_c10,
+            2, _gen_c10, _eval_c10, (0, 2),
             n_only=1,
         ),
     )
 }
 
 CHECK_IDS = tuple(CHECKS)
-
-# The (maps, fields) counts that each check's generator returns.
-_ARITY = {
-    "C1": (2, 0), "C2": (2, 0), "C3": (1, 0), "C4": (1, 0), "C5": (1, 1),
-    "C6": (0, 4), "C7": (2, 2), "C8": (1, 0), "C9": (0, 3), "C10": (0, 2),
-}
 
 
 # -- configuration and execution ----------------------------------------------------
@@ -706,9 +701,9 @@ def rerun_payload(payload: Mapping) -> Outcome:
     except (KeyError, TypeError, ValueError, JetfieldsError) as exc:
         raise ConfigError(f"payload inputs do not decode: {exc!r}") from None
     arity = tuple(len(inputs[kind]) for kind in ("maps", "fields"))
-    if arity != _ARITY[check]:
+    if arity != cd.arity:
         raise ConfigError(
-            f"check {check} takes (maps, fields) = {_ARITY[check]}, payload has {arity}"
+            f"check {check} takes (maps, fields) = {cd.arity}, payload has {arity}"
         )
     if any(x.n != n or x.order != order for xs in inputs.values() for x in xs):
         raise ConfigError(f"payload inputs must live at n = {n}, order = {order}")

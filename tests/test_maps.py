@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -121,10 +122,12 @@ def test_invert_rejects_singular_linear_part():
 
 
 def test_invert_work_grows_quadratically_in_one_variable(monkeypatch):
-    # Summed operand-length products over every product pass of one invert
-    # of x1 -> x1 + x1^2.  Each layer of w is one pass over the layers
-    # below it, so the work grows as N^2 (ratio 4 from N = 40 to 80);
-    # substituting again at every order grows as N^3 (ratio 8).
+    # Summed operand-length products over every product pass of one lift in
+    # one variable: the inverse of x1 -> x1 + x1^2 and of the dense unit
+    # 1 + x1 + ... + x1^N.  Each layer is one pass over the layers below it,
+    # so the work grows at most as N^2 (ratio 4 from N = 40 to 80).  Redoing
+    # a full substitution at every order, or summing a geometric series of
+    # dense powers, grows as N^3 (ratio 8).
     work = []
     real = jets._dot_terms
 
@@ -133,10 +136,33 @@ def test_invert_work_grows_quadratically_in_one_variable(monkeypatch):
         return real(pairs, limit)
 
     monkeypatch.setattr(jets, "_dot_terms", counting)
-    for order in (40, 80):
-        work.append(0)
-        FormalMap(1, order, (Jet(1, order, {(1,): 1, (2,): 1}),)).invert()
-    assert work[1] <= 5 * work[0], work
+    lifts = [
+        lambda order: FormalMap(1, order, (Jet(1, order, {(1,): 1, (2,): 1}),)).invert(),
+        lambda order: Jet(1, order, {(k,): 1 for k in range(order + 1)}).invert_unit(),
+    ]
+    for lift in lifts:
+        work.clear()
+        for order in (40, 80):
+            work.append(0)
+            lift(order)
+        assert work[1] <= 5 * work[0], work
+
+
+def test_lifts_leave_no_cyclic_garbage():
+    # The lifted series link to themselves, to each other and to their
+    # readers; the lift drops those links, so reference counting frees them.
+    sigma = random_automorphism(3, 5, seeded_rng("lift-garbage"))
+    jac = sigma.jacobian_matrix()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for lift in (sigma.invert, lambda: matrix_inverse(jac), jac.det().invert_unit):
+            lift()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_chain_rule_style_pullback():
@@ -342,14 +368,23 @@ def test_random_shear_fixes_target_coordinate():
         assert s.jacobian_det() == Jet.constant(3, 3, 1)
 
 
-@pytest.mark.parametrize("sampler", [
-    random_automorphism, random_const_jacobian, random_shear, random_field,
-    random_divergence_free,
+_MAP_SAMPLERS = [random_automorphism, random_const_jacobian, random_shear]
+
+
+@pytest.mark.parametrize("sampler, n, order, match", [
+    pytest.param(sampler, n, order, r"^(variable count|truncation order) must be a",
+                 id=f"{n}-{order}-{sampler.__name__}")
+    for n, order in [(2, "3"), (2.0, 3), (True, 3), (0, 3), (-1, 3), (2, -1)]
+    for sampler in _MAP_SAMPLERS + [random_field, random_divergence_free]
+] + [
+    # Maps need order >= 1, though jets and fields accept order 0.
+    pytest.param(sampler, 2, 0, r"^maps need truncation order >= 1, got 0$",
+                 id=f"2-0-{sampler.__name__}")
+    for sampler in _MAP_SAMPLERS
 ])
-@pytest.mark.parametrize("n, order", [(2, "3"), (2.0, 3), (True, 3), (0, 3), (-1, 3), (2, -1)])
-def test_samplers_check_the_ring_before_drawing(sampler, n, order):
+def test_samplers_check_the_ring_before_drawing(sampler, n, order, match):
     rng = random.Random(0)
-    with pytest.raises(ValueError, match=r"^(variable count|truncation order) must be a"):
+    with pytest.raises(ValueError, match=match):
         sampler(n, order, rng)
     assert rng.random() == random.Random(0).random()
 

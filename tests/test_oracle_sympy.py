@@ -137,22 +137,52 @@ def test_jacobian_matrix_matches_sympy(sigma):
             assert jac.rows[i][j].terms == expected
 
 
+def higher_monomials(n: int, order: int, least: int = 2) -> list:
+    return [e for e in itertools.product(range(order + 1), repeat=n) if least <= sum(e) <= order]
+
+
+def higher_terms(n: int, order: int) -> st.SearchStrategy:
+    # Up to three terms of positive degree, drawn from a list of monomials
+    # rather than filtered, which would reject most draws at order 6.
+    if not order:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(higher_monomials(n, order, 1)), rationals(),
+                           max_size=3)
+
+
+def seeded_terms(rng, n: int, order: int, const) -> dict:
+    # ``const`` plus three random terms of positive degree and one of degree ``order``.
+    picks = rng.sample(higher_monomials(n, order, 1), 3) + [(0,) * (n - 1) + (order,)]
+    return {(0,) * n: const, **{e: Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+                                for e in picks}}
+
+
 @st.composite
 def invertible_matrices(draw):
     # Entries with arbitrary higher terms on an invertible constant matrix.
     n = draw(st.integers(1, 4))
-    order = draw(st.integers(0, 3))
+    order = draw(st.integers(0, 6))
     const = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), min_size=n, max_size=n)
                  .filter(lambda c: linalg.det(c) != 0))
     return JetMatrix(tuple(
-        tuple(draw(vanishing_jets(n, order)) + c if order else Jet.constant(n, 0, c)
-              for c in row)
+        tuple(Jet(n, order, {**draw(higher_terms(n, order)), (0,) * n: c}) for c in row)
         for row in const
     ))
 
 
+def seeded_matrix(n: int, order: int) -> JetMatrix:
+    rng = seeded_rng(f"matrix-oracle-{n}-{order}")
+    while True:
+        const = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if linalg.det(const):
+            break
+    return JetMatrix(tuple(tuple(Jet(n, order, seeded_terms(rng, n, order, c)) for c in row)
+                           for row in const))
+
+
 @EXAMPLES
 @given(invertible_matrices())
+@example(seeded_matrix(2, 16))
 def test_matrix_inverse_matches_sympy(m):
     inv = matrix_inverse(m)
     assert inv.order == m.order
@@ -167,11 +197,28 @@ def test_matrix_inverse_matches_sympy(m):
                 for i in range(n)] == identity
 
 
+@st.composite
+def units(draw):
+    # Constants of either sign, integers or not, under arbitrary higher terms.
+    n = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 6))
+    const = draw(rationals().filter(bool))
+    return Jet(n, order, {**draw(higher_terms(n, order)), (0,) * n: const})
+
+
+@EXAMPLES
+@given(units())
+@example(Jet(2, 15, seeded_terms(seeded_rng("unit-oracle-15"), 2, 15, Q(-3, 2))))
+@example(Jet(2, 16, seeded_terms(seeded_rng("unit-oracle-16"), 2, 16, Q(5, 3))))
+def test_invert_unit_matches_sympy(f):
+    inv = f.invert_unit()
+    assert inv.order == f.order
+    n = f.n
+    product = sympy.Poly(to_sympy(f), *XS[:n]) * sympy.Poly(to_sympy(inv), *XS[:n])
+    assert truncated_terms(product, n, f.order) == {(0,) * n: Q(1)}
+
+
 # -- compositional inverse ------------------------------------------------------------
-
-
-def higher_monomials(n: int, order: int) -> list:
-    return [e for e in itertools.product(range(order + 1), repeat=n) if 2 <= sum(e) <= order]
 
 
 def map_with_linear_part(n: int, order: int, a, higher: list[dict]) -> FormalMap:

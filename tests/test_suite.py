@@ -247,12 +247,10 @@ def test_rerun_payload_rejects_malformed_inputs():
 
 
 def test_arity_table_matches_generators():
-    from jetfields.suite import _ARITY
-
     for ident in CHECK_IDS:
         n = CHECKS[ident].n_only or 2
         inputs = CHECKS[ident].generate(random.Random(0), n, 4)
-        assert _ARITY[ident] == (len(inputs["maps"]), len(inputs["fields"])), ident
+        assert CHECKS[ident].arity == (len(inputs["maps"]), len(inputs["fields"])), ident
 
 
 # -- reports ----------------------------------------------------------------------------
