@@ -8,6 +8,13 @@ more than ``suite.MAX_RING_SIZE`` monomials is refused, and so is
 ``jacdet`` past ``suite.MAX_DET_VARS`` variables.  ``verify`` runs the
 identity suite and exits 0 only when nothing failed unexpectedly.
 
+``main`` hands an argv that starts with a command name straight to that
+command's own parser, which is what the top-level parser does with it
+(everything after the command goes to the subparser unchanged), minus
+the top-level pass.  Any other argv, and any argv the command's parser
+leaves arguments over from, goes through the top-level parser, so
+argparse prints its own help and usage errors.
+
 Exit codes: 0 success, 1 unexpected verification failure, 2 usage or
 input errors.  Diagnostics go to stderr; results go to stdout.  The
 ``JETFIELDS_SEED`` environment variable supplies the default seed for
@@ -100,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built by ``build_parser`` on first use.
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser of this process, built by ``build_parser`` on first use,
+    and its map from command name to subparser.
 
     ``parse_args`` leaves a parser unchanged and nothing in the tree reads
     the environment (``verify`` reads ``JETFIELDS_SEED`` when it runs, help
@@ -110,7 +118,8 @@ def _parser() -> argparse.ArgumentParser:
     lazily, not at import, so that a wrapper bound to that name sees the
     call.
     """
-    return build_parser()
+    parser = build_parser()
+    return parser, next(a.choices for a in parser._actions if a.nargs == argparse.PARSER)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -146,11 +155,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.unexpected_failures == 0 else 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
@@ -165,6 +170,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser, commands = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.parse_args(argv)  # exits with argparse's own usage error
+            args.command = argv[0]
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return _run(args)
 
 
 def entry() -> None:

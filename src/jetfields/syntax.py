@@ -13,25 +13,30 @@ Grammar (EBNF, whitespace free between tokens):
     rule    = variable "->" series ;
     sign    = "+" | "-" ;
 
-Variables are ``x1``..``xn`` and field symbols ``d1``..``dn``; exponents
-are integers >= 1.  Terms whose degree exceeds the truncation order are
-rejected rather than silently dropped, duplicate monomials are summed,
-and a map must bind every variable exactly once with images vanishing at
-the origin.
+Variables are ``x1``..``xn`` and field symbols ``d1``..``dn``; integers
+are ASCII digits and exponents are >= 1.  Terms whose degree exceeds the
+truncation order are rejected rather than silently dropped, duplicate
+monomials are summed, and a map must bind every variable exactly once
+with images vanishing at the origin.
 
 ``str`` of a jet, matrix, field or map emits the canonical form these
 parsers round-trip: ascending total degree, earlier variables first
 within a degree, reduced coefficients, " + " / " - " joins.
 
-Parsing builds a jet's integer form directly: each term is read as an
-integer pair (p, q) and a packed monomial key, the pairs are summed per
-key, and the jet is made once over the lcm of the denominators, with no
-rational arithmetic and no per-term validation beyond the grammar's own.
+A text is scanned once, by one ``findall`` into plain token strings, and
+each token's kind is read off its first character.  Columns are worked
+out only for an error, by scanning the text again.  Errors are found in
+a fixed order: the ring, then the first bad character anywhere in the
+text, then the grammar from left to right.  A series is built on a
+jet's integer form directly: each term is read as an integer pair
+(p, q) and a packed monomial key, the pairs are summed per key, and the
+jet is made once over the lcm of the denominators.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import lcm
 
 from .errors import ParseError
@@ -39,251 +44,189 @@ from .fields import Derivation
 from .jets import Jet, _check_ring, _jet, _reduce, _width
 from .maps import FormalMap
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<var>x\d+)"
-    r"|(?P<dsym>d\d+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<op>[+\-*/^();])"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
+# Whitespace matches no alternative, so findall skips it.  A token that
+# is "x", "d" or starts with a character outside "xd0-9+-*/^();" is bad.
+_TOKEN_RE = re.compile(r"[xd][0-9]+|[0-9]+|->|[-+*/^();]|\S")
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """The tokens of ``text`` as (kind, value, position) tuples, ending in "end".
-
-    Operators and "->" are their own kind; variables and field symbols
-    carry their index, integers their value.
-    """
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        s = m.group()
-        if kind == "op" or kind == "arrow":
-            append((s, s, m.start()))
-        elif kind == "int":
-            append((kind, int(s), m.start()))
-        elif kind == "var" or kind == "dsym":
-            append((kind, int(s[1:]), m.start()))
-        else:
-            raise ParseError(f"unexpected character {s!r}", m.start())
-    append(("end", None, len(text)))
-    return tokens
+def _error(text: str, tokens: list, k: int, message: str) -> ParseError:
+    """``message`` at token k, unless the text has a bad character first."""
+    for j, t in enumerate(tokens[:-1]):
+        if t[0] not in "xd0123456789+-*/^();" or t in ("x", "d"):
+            k, message = j, f"unexpected character {t!r}"
+            break
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    return ParseError(message, starts[k] if k < len(starts) else len(text))
 
 
-class _Parser:
-    def __init__(self, text: str, n: int, order: int) -> None:
-        _check_ring(n, order)
-        self.n = n
-        self.order = order
-        self.w = _width(order)
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _unknown(text: str, tokens: list, i: int, n: int, name: str) -> ParseError:
+    return _error(text, tokens, i, f"unknown {name}{int(tokens[i][1:])} (ring has "
+                                   f"{n} variable{'s' if n != 1 else ''})")
 
-    def peek(self) -> tuple:
-        return self.tokens[self.i]
 
-    def expect(self, kind: str, what: str) -> tuple:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        self.i += 1
-        return tok
+def _parse(walk, text: str, n: int, order: int):
+    _check_ring(n, order)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(" ")  # the end: no token is whitespace
+    try:
+        return walk(text, tokens, n, order, _width(order))
+    except ValueError:
+        # int() refuses a literal longer than the interpreter's digit limit.
+        limit = sys.get_int_max_str_digits()
+        k = next((j for j, t in enumerate(tokens) if len(t.lstrip("xd")) > limit), 0)
+        raise _error(text, tokens, k, f"integer longer than {limit} digits") from None
 
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.peek()[2])
 
-    def index(self, kind: str, what: str) -> tuple[int, int]:
-        """The next variable ("var") or field symbol ("dsym") as (index, position)."""
-        _, idx, pos = self.expect(kind, what)
-        if not 1 <= idx <= self.n:
-            name = "variable x" if kind == "var" else "field symbol d"
-            raise ParseError(
-                f"unknown {name}{idx} (ring has {self.n} variable"
-                f"{'s' if self.n != 1 else ''})",
-                pos,
-            )
-        return idx, pos
-
-    # series
-
-    def parse_series(self, stop: tuple[str, ...]) -> Jet:
-        # Packed key -> (p, q), summed unreduced; zero sums drop out at the end.
-        acc: dict[int, tuple[int, int]] = {}
-        sign = self._leading_sign()
-        while True:
-            key, p, q = self._term()
-            if sign < 0:
-                p = -p
-            prev = acc.get(key)
-            if prev is not None:
-                p0, q0 = prev
-                p, q = (p0 + p, q) if q0 == q else (p0 * q + p * q0, q0 * q)
-            acc[key] = p, q
-            kind = self.peek()[0]
-            if kind in stop:
-                break
-            if kind == "+" or kind == "-":
-                sign = 1 if kind == "+" else -1
-                self.i += 1
-                continue
-            self.fail("expected '+', '-', or end of series")
-        terms = [(k, p, q) for k, (p, q) in acc.items() if p]
-        den = lcm(*[q for _, _, q in terms])
-        num = {k: p * (den // q) for k, p, q in terms}
-        return _jet(self.n, self.order, *_reduce(num, den), self.w)
-
-    def _leading_sign(self) -> int:
-        kind = self.peek()[0]
-        if kind == "+" or kind == "-":
-            self.i += 1
-            return 1 if kind == "+" else -1
-        return 1
-
-    def _term(self) -> tuple[int, int, int]:
-        """One term as (packed monomial key, p, q) with q > 0."""
-        kind, _, start = self.peek()
-        if kind == "int":
-            p, q = self._rational()
-            if self.peek()[0] == "*":
-                self.i += 1
-                key, degree = self._factors()
-            else:
-                key = degree = 0
-        elif kind == "var":
-            p = q = 1
-            key, degree = self._factors()
-        else:
-            self.fail("expected a rational or a variable")
-        if degree > self.order:
-            raise ParseError(
-                f"term of degree {degree} exceeds truncation order {self.order}",
-                start,
-            )
-        return key | degree << (self.w * self.n), p, q
-
-    def _rational(self) -> tuple[int, int]:
-        num = self.expect("int", "an integer")[1]
-        if self.peek()[0] == "/":
-            self.i += 1
-            _, den, pos = self.expect("int", "a denominator")
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-            return num, den
-        return num, 1
-
-    def _factors(self) -> tuple[int, int]:
-        """A product of powers as (exponent fields of its packed key, degree).
-
-        A field can overflow only when the degree exceeds the order, which
-        the caller rejects before the key is used.
-        """
-        n, w = self.n, self.w
+def _series(text: str, tokens: list, n: int, order: int, w: int,
+            i: int = 0, stop: tuple = (" ",)) -> tuple[Jet, int]:
+    """The series from tokens[i] on, and the index of the ``stop`` token after it."""
+    # Packed key -> (p, q), summed unreduced; zero sums drop out at the end.
+    acc: dict[int, tuple[int, int]] = {}
+    t = tokens[i]
+    negate = t == "-"
+    if negate or t == "+":
+        i += 1
+    while True:
+        start = i
+        t = tokens[i]
         key = degree = 0
-        while True:
-            idx, _ = self.index("var", "a variable like x1")
+        if "0" <= t[0] <= "9":
+            p, q = int(t), 1
+            i += 1
+            if tokens[i] == "/":
+                i += 1
+                t = tokens[i]
+                if not "0" <= t[0] <= "9":
+                    raise _error(text, tokens, i, "expected a denominator")
+                q = int(t)
+                if not q:
+                    raise _error(text, tokens, i, "zero denominator")
+                i += 1
+            more = tokens[i] == "*"
+            i += more
+        elif t[0] == "x":
+            p = q = more = 1
+        else:
+            raise _error(text, tokens, i, "expected a rational or a variable")
+        while more:
+            # A factor's exponent field can overflow only when the degree
+            # exceeds the order, which is rejected before the key is used.
+            t = tokens[i]
+            if t[0] != "x" or t == "x":
+                raise _error(text, tokens, i, "expected a variable like x1")
+            idx = int(t[1:])
+            if not 0 < idx <= n:
+                raise _unknown(text, tokens, i, n, "variable x")
+            i += 1
             power = 1
-            if self.peek()[0] == "^":
-                self.i += 1
-                _, power, ppos = self.expect("int", "an integer exponent")
-                if power < 1:
-                    raise ParseError("exponent must be >= 1", ppos)
-            key += power << (w * (n - idx))
+            if tokens[i] == "^":
+                i += 1
+                t = tokens[i]
+                if not "0" <= t[0] <= "9":
+                    raise _error(text, tokens, i, "expected an integer exponent")
+                power = int(t)
+                if not power:
+                    raise _error(text, tokens, i, "exponent must be >= 1")
+                i += 1
+            key += power << w * (n - idx)
             degree += power
-            if self.peek()[0] == "*" and self.tokens[self.i + 1][0] == "var":
-                self.i += 1
-                continue
+            more = tokens[i] == "*" and tokens[i + 1][0] == "x"
+            i += more
+        if degree > order:
+            raise _error(text, tokens, start,
+                         f"term of degree {degree} exceeds truncation order {order}")
+        key |= degree << w * n
+        if negate:
+            p = -p
+        prev = acc.get(key)
+        if prev is not None:
+            p0, q0 = prev
+            p, q = (p0 + p, q) if q0 == q else (p0 * q + p * q0, q0 * q)
+        acc[key] = p, q
+        t = tokens[i]
+        if t in stop:
             break
-        return key, degree
+        if t != "+" and t != "-":
+            raise _error(text, tokens, i, "expected '+', '-', or end of series")
+        negate = t == "-"
+        i += 1
+    terms = [(k, p, q) for k, (p, q) in acc.items() if p]
+    den = lcm(*[q for _, _, q in terms])
+    num = {k: p * (den // q) for k, p, q in terms}
+    return _jet(n, order, *_reduce(num, den), w), i
 
-    # fields
 
-    def parse_field(self) -> Derivation:
-        coeffs = [Jet.zero(self.n, self.order) for _ in range(self.n)]
-        first = self.peek()
-        if first[:2] == ("int", 0) and self.tokens[self.i + 1][0] == "end":
-            self.i += 1
-            return Derivation(self.n, self.order, tuple(coeffs))
-        while True:
-            sign = self._leading_sign()
-            self.expect("(", "'(' opening a coefficient series")
-            series = self.parse_series(stop=(")",))
-            self.expect(")", "')'")
-            self.expect("*", "'*' before the field symbol")
-            idx, _ = self.index("dsym", "a field symbol like d1")
-            coeffs[idx - 1] = coeffs[idx - 1] + (series if sign > 0 else -series)
-            kind = self.peek()[0]
-            if kind == "end":
-                break
-            if kind == "+" or kind == "-":
-                continue
-            self.fail("expected '+', '-', or end of field")
-        return Derivation(self.n, self.order, tuple(coeffs))
+def _field(text: str, tokens: list, n: int, order: int, w: int) -> list[Jet]:
+    coeffs = [Jet.zero(n, order)] * n
+    if len(tokens) == 2 and "0" <= tokens[0][0] <= "9" and not int(tokens[0]):
+        return coeffs
+    i = 0
+    while True:
+        t = tokens[i]
+        negate = t == "-"
+        if negate or t == "+":
+            i += 1
+        if tokens[i] != "(":
+            raise _error(text, tokens, i, "expected '(' opening a coefficient series")
+        series, i = _series(text, tokens, n, order, w, i + 1, (")",))
+        i += 1  # past the ")" the series stopped at
+        if tokens[i] != "*":
+            raise _error(text, tokens, i, "expected '*' before the field symbol")
+        i += 1
+        t = tokens[i]
+        if t[0] != "d" or t == "d":
+            raise _error(text, tokens, i, "expected a field symbol like d1")
+        idx = int(t[1:])
+        if not 0 < idx <= n:
+            raise _unknown(text, tokens, i, n, "field symbol d")
+        coeffs[idx - 1] = coeffs[idx - 1] + (-series if negate else series)
+        i += 1
+        t = tokens[i]
+        if t == " ":
+            return coeffs
+        if t != "+" and t != "-":
+            raise _error(text, tokens, i, "expected '+', '-', or end of field")
 
-    # maps
 
-    def parse_map(self) -> FormalMap:
-        images: dict[int, Jet] = {}
-        while True:
-            idx, pos = self.index("var", "a variable like x1 starting a rule")
-            if idx in images:
-                raise ParseError(f"duplicate rule for x{idx}", pos)
-            self.expect("->", "'->'")
-            start = self.peek()[2]
-            series = self.parse_series(stop=(";", "end"))
-            if series.constant_term:
-                raise ParseError(
-                    f"image of x{idx} has nonzero constant term "
-                    f"{series.constant_term}; maps must fix the origin",
-                    start,
-                )
-            images[idx] = series
-            if self.peek()[0] == ";":
-                self.i += 1
-                continue
+def _map(text: str, tokens: list, n: int, order: int, w: int) -> list[Jet]:
+    images: dict[int, Jet] = {}
+    i = 0
+    while True:
+        t = tokens[i]
+        if t[0] != "x" or t == "x":
+            raise _error(text, tokens, i, "expected a variable like x1 starting a rule")
+        idx = int(t[1:])
+        if not 0 < idx <= n:
+            raise _unknown(text, tokens, i, n, "variable x")
+        if idx in images:
+            raise _error(text, tokens, i, f"duplicate rule for x{idx}")
+        if tokens[i + 1] != "->":
+            raise _error(text, tokens, i + 1, "expected '->'")
+        series, end = _series(text, tokens, n, order, w, i + 2, (";", " "))
+        if series.constant_term:
+            raise _error(text, tokens, i + 2, f"image of x{idx} has nonzero constant term "
+                                              f"{series.constant_term}; maps must fix the origin")
+        images[idx] = series
+        if tokens[end] == " ":
             break
-        missing = [f"x{k}" for k in range(1, self.n + 1) if k not in images]
-        if missing:
-            raise ParseError(
-                f"missing map rule{'s' if len(missing) > 1 else ''} for "
-                + ", ".join(missing),
-                self.peek()[2],
-            )
-        return FormalMap(
-            self.n, self.order, tuple(images[k] for k in range(1, self.n + 1))
-        )
-
-    def finish(self) -> None:
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
+        i = end + 1
+    missing = [f"x{k}" for k in range(1, n + 1) if k not in images]
+    if missing:
+        raise _error(text, tokens, end, f"missing map rule{'s' if len(missing) > 1 else ''} "
+                                        f"for {', '.join(missing)}")
+    return [images[k] for k in range(1, n + 1)]
 
 
 def parse_series(text: str, n: int, order: int) -> Jet:
     """Parse series text like ``x1 + 2*x1^2*x2 - 1/2`` into a jet."""
-    p = _Parser(text, n, order)
-    jet = p.parse_series(stop=("end",))
-    p.finish()
-    return jet
+    return _parse(_series, text, n, order)[0]
 
 
 def parse_field(text: str, n: int, order: int) -> Derivation:
     """Parse field text like ``(x1^2)*d1 + (x1*x2)*d2`` into a derivation."""
-    p = _Parser(text, n, order)
-    field = p.parse_field()
-    p.finish()
-    return field
+    return Derivation(n, order, tuple(_parse(_field, text, n, order)))
 
 
 def parse_map(text: str, n: int, order: int) -> FormalMap:
     """Parse map text like ``x1 -> x1; x2 -> x2 + x1^2`` into a formal map."""
-    p = _Parser(text, n, order)
-    fmap = p.parse_map()
-    p.finish()
-    return fmap
-
+    return FormalMap(n, order, tuple(_parse(_map, text, n, order)))

@@ -93,6 +93,63 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
+def test_long_literals_and_non_ascii_digits_exit_2(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "div", "-n", "1", "-N", "3", "1" * 5000)
+    assert (code, out, err) == (2, "", f"error: col 1: integer longer than {limit} digits\n")
+    code, out, err = run(capsys, "div", "-n", "1", "-N", "3", "(x\u0661)*d1")
+    assert (code, out, err) == (2, "", "error: col 2: unexpected character 'x'\n")
+
+
+# -- routing: main against the top-level parser ------------------------------------
+
+# main hands an argv that starts with a command name to that command's
+# parser; each argv here must give what the top-level parser gives.
+ROUTES = [
+    ("div", "-n", "2", "-N", "4", "(x1)*d1 + (x2)*d2"),
+    ("jac", "-n", "2", "-N", "4", SIGMA),
+    ("jacdet", "-n", "2", "-N", "4", SIGMA),
+    ("push", "-n", "2", "-N", "4", SIGMA, "(1)*d1"),
+    ("compose", "-n", "2", "-N", "4", SIGMA, "x1 -> x2; x2 -> x1"),
+    ("invert", "-n", "2", "-N", "4", SIGMA),
+    ("bracket", "-n", "2", "-N", "4", "(x2)*d1", "(1)*d2"),
+    ("flow", "-n", "1", "-N", "3", "(x1^2)*d1"),
+    ("verify", "--checks", "C1", "--n-list", "1", "--order-list", "3", "--trials", "1"),
+    ("-h",), ("--help",), ("div", "-h"), ("verify", "-h"), ("div", "--he"), ("-h", "div"),
+    ("frobnicate",), (), ("DIV",), ("--", "div", "-n", "1", "-N", "3", "(x1)*d1"),
+    ("div",), ("div", "-n", "2", "-N", "3"), ("div", "-n", "2", "(x1)*d1"),
+    ("push", "-n", "2", "-N", "4", SIGMA),
+    ("div", "-n", "2", "-N", "3", "(x1)*d1", "(x2)*d2"),
+    ("div", "-n", "two", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "-1", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "1", "-N", "3", "-(x1)*d1"),
+    ("div", "-n", "1", "-N", "3", "- (x1)*d1"),
+    ("div", "-n", "1", "-N", "3", "--", "-(x1)*d1"),
+    ("div", "-n", "1", "-N", "3", "(x1)*d1", "--"),
+    ("div", "-n", "1", "-N", "3", "(x1)*d1", "--bogus"),
+    ("verify", "--bogus"), ("verify", "--trials", "x"),
+    ("div", "-n1", "-N3", "(x1)*d1"), ("div", "-N", "3", "(x1)*d1", "-n", "1"),
+    ("div", "-n", "1", "-N", "3", "(x9)*d1"),
+]
+
+
+def top_level(argv: list) -> int:
+    """What main did before routing: the top-level parser, then the command."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return cli._run(args)
+
+
+@pytest.mark.parametrize("argv", ROUTES, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_main_matches_the_top_level_parser(capsys, argv):
+    got = run(capsys, *argv)
+    code = top_level(list(argv))
+    captured = capsys.readouterr()
+    assert got == (code, captured.out, captured.err)
+
+
 # -- parser reuse ----------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ Products, substitution, determinants, Jacobian matrices and determinants,
 the derivation action and matrix inversion are compared with sympy's
 expansion of the same polynomials, cut at the order the kernel claims, and
 every comparison also asserts that claimed order.  Map inversion is
-checked by composing with sympy's sparse polynomials, in both directions.
+checked by composing with sympy's sparse polynomials, in both directions,
+and the flow of a field against its Lie series summed in sympy.
 The fraction-free ``linalg.det`` and ``linalg.inverse`` are compared with
 sympy's rational matrices.  The whole module is skipped where sympy is not
 installed.
@@ -23,8 +24,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.rings import ring  # noqa: E402
 
 from conftest import derivations, exponent_tuples, jets, rationals, seeded_rng  # noqa: E402
-from jetfields import (FormalMap, Jet, JetMatrix, Q, SingularMatrix, linalg,  # noqa: E402
-                       matrix_inverse)
+from jetfields import (Derivation, FormalMap, Jet, JetMatrix, Q, SingularMatrix,  # noqa: E402
+                       exp_flow, linalg, matrix_inverse)
 
 XS = sympy.symbols("x1:5")
 EXAMPLES = settings(max_examples=25, deadline=None)
@@ -314,6 +315,40 @@ def test_derivation_apply_matches_sympy(case):
     expr = sympy.Add(*(to_sympy(a) * sympy.diff(to_sympy(f), x)
                        for a, x in zip(field.coefficients, XS)))
     assert out.terms == truncated_terms(expr, f.n, claimed)
+
+
+@st.composite
+def nilpotent_fields(draw):
+    # Coefficients of adic order >= 2, up to three terms each.
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(2, 6))
+    terms = st.dictionaries(st.sampled_from(higher_monomials(n, order)), rationals(),
+                            max_size=3)
+    return Derivation(n, order, tuple(Jet(n, order, draw(terms)) for _ in range(n)))
+
+
+@EXAMPLES
+@given(nilpotent_fields())
+def test_exp_flow_matches_sympy(field):
+    # The Lie series x_i + D(x_i) + D^2(x_i)/2! + ... with D = sum_j a_j d/dx_j,
+    # cut at the field's order after each step: D raises degree by at least
+    # one, so no term cut off comes back.
+    flow = exp_flow(field)
+    n, order = field.n, field.order
+    assert flow.order == order
+    r, *xs = ring(",".join(map(str, XS[:n])), sympy.QQ)
+    a = [r({e: sympy.QQ(c.numerator, c.denominator) for e, c in coeff.terms.items()})
+         for coeff in field.coefficients]
+    for x, image in zip(xs, flow.images):
+        term = total = x
+        k = 0
+        while term:
+            k += 1
+            term = sum((aj * term.diff(xj) for aj, xj in zip(a, xs)), r.zero)
+            term = r({m: c / k for m, c in term.items() if sum(m) <= order})
+            total += term
+        assert image.terms == {m: Q(int(c.numerator), int(c.denominator))
+                               for m, c in total.items()}
 
 
 # -- rational matrices ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,9 @@ from jetfields import (
 )
 
 
+DIGITS = sys.get_int_max_str_digits()
+
+
 # -- series -------------------------------------------------------------------
 
 
@@ -35,6 +39,7 @@ def test_parse_series_basics():
     assert parse_series("3", 1, 2) == Jet.constant(1, 2, 3)
     assert parse_series("x1*x2", 2, 3) == Jet(2, 3, {(1, 1): 1})
     assert parse_series("2*x1*x2^2", 3, 4) == Jet(3, 4, {(1, 2, 0): 2})
+    assert parse_series("x01 + x002^3", 2, 3) == Jet(2, 3, {(1, 0): 1, (0, 3): 1})
 
 
 def test_parse_series_sums_duplicate_monomials():
@@ -72,6 +77,14 @@ def test_parse_series_errors():
         ("(x1)", 2, 3, None),
         ("x1 ? 2", 2, 3, None),
         ("1.5", 2, 3, None),
+        # Literals past the interpreter's digit limit, and non-ASCII digits.
+        ("1" * 5000, 1, 3, f"col 1: integer longer than {DIGITS} digits"),
+        ("x" + "1" * 5000, 1, 3, f"col 1: integer longer than {DIGITS} digits"),
+        ("x1^" + "9" * 5000, 1, 3, f"col 4: integer longer than {DIGITS} digits"),
+        ("1/" + "7" * 5000, 1, 3, f"col 3: integer longer than {DIGITS} digits"),
+        ("x\u0661", 1, 3, "col 1: unexpected character 'x'"),
+        ("\u0662*x1", 1, 3, "col 1: unexpected character '\u0662'"),
+        ("x1 + 3/\u0664", 1, 3, "col 8: unexpected character '\u0664'"),
     ]
     for text, n, order, fragment in cases:
         with pytest.raises(ParseError) as err:
@@ -79,6 +92,16 @@ def test_parse_series_errors():
         assert str(err.value).startswith("col "), text
         if fragment:
             assert fragment in str(err.value), text
+
+
+def test_literal_limit_is_the_interpreters():
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert str(parse_series("2*x1 + " + "1" * 4500, 1, 3)) == "1" * 4500 + " + 2*x1"
+        with pytest.raises(ParseError, match="^col 3: integer longer than 5000 digits$"):
+            parse_series("1/" + "7" * 5001, 1, 3)
+    finally:
+        sys.set_int_max_str_digits(DIGITS)
 
 
 def test_parse_error_reports_column():
@@ -116,6 +139,13 @@ def test_parse_field_errors():
     for text in ["(x1)*d3", "x1*d1", "(x1)d1", "(x1)*d1 +", "(x1)*", "d1"]:
         with pytest.raises(ParseError):
             parse_field(text, 2, 3)
+    for text, message in [
+        ("(x1)*d" + "1" * 4301, f"col 6: integer longer than {DIGITS} digits"),
+        ("0" * 5000, f"col 1: integer longer than {DIGITS} digits"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_field(text, 1, 3)
+        assert str(err.value) == message
 
 
 # -- maps -----------------------------------------------------------------------
@@ -146,6 +176,8 @@ def test_parse_map_errors():
         ("x1 -> x1;", 1, 3, None),
         ("x1 x1", 1, 3, None),
         ("x3 -> x1; x2 -> x2", 2, 3, None),
+        ("x1 -> x1 + " + "2" * 5000 + "*x1^2", 1, 3,
+         f"col 12: integer longer than {DIGITS} digits"),
     ]
     for text, n, order, fragment in cases:
         with pytest.raises(ParseError) as err:
@@ -326,6 +358,70 @@ PARSE_ERRORS = [
     (parse_map, "x1 -> x1 ; x2 -> x2^4", 2, 3, 17,
      "col 18: term of degree 4 exceeds truncation order 3"),
     (parse_map, "-> x1", 1, 3, 0, "col 1: expected a variable like x1 starting a rule"),
+    (parse_field, "(x\u0661)*d1", 1, 3, 1, "col 2: unexpected character 'x'"),
+    (parse_field, "\u0660", 1, 3, 0, "col 1: unexpected character '\u0660'"),
+    # Every message at a second column; a bad character anywhere wins over
+    # an earlier grammar error; columns count whitespace, tabs and newlines.
+    (parse_field, "(x1)*d1 + (x2)*d5", 2, 3, 15,
+     "col 16: unknown field symbol d5 (ring has 2 variables)"),
+    (parse_field, "-(1)*d9", 1, 2, 5,
+     "col 6: unknown field symbol d9 (ring has 1 variable)"),
+    (parse_series, "x1 + 3*", 2, 3, 7, "col 8: expected a variable like x1"),
+    (parse_series, "1/2*(x1)", 2, 3, 4, "col 5: expected a variable like x1"),
+    (parse_series, "2*d1", 2, 3, 2, "col 3: expected a variable like x1"),
+    (parse_series, "1 + x1^ + x2", 2, 3, 8, "col 9: expected an integer exponent"),
+    (parse_series, "x2 + x1^x2", 2, 3, 8, "col 9: expected an integer exponent"),
+    (parse_series, "3*x1 - 2/", 2, 3, 9, "col 10: expected a denominator"),
+    (parse_series, "x1 + 1/x2", 2, 3, 7, "col 8: expected a denominator"),
+    (parse_field, "(x1)*d1 + (x2)d2", 2, 3, 14,
+     "col 15: expected '*' before the field symbol"),
+    (parse_field, "(1) * d1 - (x1) + d1", 2, 3, 16,
+     "col 17: expected '*' before the field symbol"),
+    (parse_field, "(x1)*x1", 2, 3, 5, "col 6: expected a field symbol like d1"),
+    (parse_field, "(1)*d1 + (x2)*(x1)", 2, 3, 14,
+     "col 15: expected a field symbol like d1"),
+    (parse_field, "(x1)*d1;", 1, 3, 7, "col 8: expected '+', '-', or end of field"),
+    (parse_field, "(1)*d1 - (x1)*d1 (x1)*d1", 1, 3, 17,
+     "col 18: expected '+', '-', or end of field"),
+    (parse_map, "x2 -> x2 + x1^2", 2, 3, 15, "col 16: missing map rule for x1"),
+    (parse_map, "x1 -> x1; x3 -> x3", 3, 3, 18, "col 19: missing map rule for x2"),
+    (parse_map, "x2 -> x1; x1 -> x2; x2 -> x2", 2, 3, 20, "col 21: duplicate rule for x2"),
+    (parse_map, "x1 -> x1; x2 -> 3 - x2", 2, 3, 16,
+     "col 17: image of x2 has nonzero constant term 3; maps must fix the origin"),
+    (parse_map, "x1 ->-1/2 + x1", 1, 3, 5,
+     "col 6: image of x1 has nonzero constant term -1/2; maps must fix the origin"),
+    (parse_map, "x1 -> x1; x2 x1", 2, 3, 13, "col 14: expected '->'"),
+    (parse_map, "x1 -> x2; x2 -> x1; x3", 3, 3, 22, "col 23: expected '->'"),
+    (parse_series, "x1 + + ?", 2, 3, 7, "col 8: unexpected character '?'"),
+    (parse_series, "x3 + $", 2, 3, 5, "col 6: unexpected character '$'"),
+    (parse_field, "(x1)*d1 + x", 2, 3, 10, "col 11: unexpected character 'x'"),
+    (parse_map, "x1 -> 1 ; x", 1, 3, 10, "col 11: unexpected character 'x'"),
+    (parse_series, "  x1 +\t\n x9", 2, 3, 9,
+     "col 10: unknown variable x9 (ring has 2 variables)"),
+    (parse_series, "\u2003x5", 2, 3, 1,
+     "col 2: unknown variable x5 (ring has 2 variables)"),
+    (parse_series, "x1^0 + x9", 2, 3, 3, "col 4: exponent must be >= 1"),
+    (parse_series, "x1^4*x1^0", 1, 3, 8, "col 9: exponent must be >= 1"),
+    (parse_series, "x1*x2*", 2, 3, 5, "col 6: expected '+', '-', or end of series"),
+    (parse_series, "x1^2^2", 2, 3, 4, "col 5: expected '+', '-', or end of series"),
+    (parse_series, "x1 + 2 3", 2, 3, 7, "col 8: expected '+', '-', or end of series"),
+    (parse_series, "1/2/3", 2, 3, 3, "col 4: expected '+', '-', or end of series"),
+    (parse_field, "(x1)*d1 + (x2 x1)*d2", 2, 3, 14,
+     "col 15: expected '+', '-', or end of series"),
+    (parse_field, "00 + (x1)*d1", 2, 3, 0,
+     "col 1: expected '(' opening a coefficient series"),
+    (parse_field, "+", 1, 3, 1, "col 2: expected '(' opening a coefficient series"),
+    (parse_field, "", 1, 3, 0, "col 1: expected '(' opening a coefficient series"),
+    (parse_map, "", 1, 3, 0, "col 1: expected a variable like x1 starting a rule"),
+    (parse_map, "x1 -> ", 1, 3, 6, "col 7: expected a rational or a variable"),
+    (parse_map, "x1 -> x1 -> x1", 1, 3, 9, "col 10: expected '+', '-', or end of series"),
+    (parse_map, "x1 -> x1; x1 -> x1^2 + 1", 1, 3, 10, "col 11: duplicate rule for x1"),
+    (parse_map, "x1 -> x1; x2 -> x2^5", 2, 3, 16,
+     "col 17: term of degree 5 exceeds truncation order 3"),
+    (parse_series, "x1 > x2", 2, 3, 3, "col 4: unexpected character '>'"),
+    (parse_series, "x1 - x1d1", 2, 3, 7, "col 8: expected '+', '-', or end of series"),
+    (parse_series, "d", 2, 3, 0, "col 1: unexpected character 'd'"),
+    (parse_series, "x1 + x", 2, 3, 5, "col 6: unexpected character 'x'"),
 ]
 
 
