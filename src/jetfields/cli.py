@@ -161,11 +161,17 @@ def _run(args: argparse.Namespace) -> int:
             return _cmd_verify(args)
         _, operands, operation = _COMMANDS[args.command]
         _cost_guard(args.command, args.n, args.order, det=args.command == "jacdet")
-        print(operation(*[
+        result = operation(*[
             (parse_map if operand.kind == "map" else parse_field)(
                 getattr(args, operand.name), args.n, args.order)
             for operand in operands
-        ]))
+        ])
+        try:
+            text = str(result)
+        except ValueError:  # str() refuses an int past the interpreter's digit limit
+            raise JetfieldsError(f"result has a coefficient longer than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
+        print(text)
     except (JetfieldsError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .errors import (
     OrderMismatch,
     PrecisionExhausted,
 )
-from .jets import Jet, JetMatrix, _apply_partials, _check_ring, _dot
+from .jets import Jet, JetMatrix, JetTuple, _apply_partials, _check_ring, _dot
 from .maps import (
     FormalMap,
     _as_rng,
@@ -38,33 +38,17 @@ from .rationals import Q, as_rational
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Derivation:
+class Derivation(JetTuple):
     """A formal vector field sum_i coefficients[i] * d/dx_i."""
 
-    n: int
-    order: int
     coefficients: tuple[Jet, ...]
 
+    _items, _label, _kind = "coefficients", "coefficient {}", "fields"
+
     def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
         if not isinstance(self.order, int) or self.order < 0:
             raise ValueError(f"field order must be a non-negative int, got {self.order!r}")
-        if len(coeffs) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} coefficients, got {len(coeffs)}"
-            )
-        for k, c in enumerate(coeffs, start=1):
-            if not isinstance(c, Jet):
-                raise TypeError(f"coefficient {k} must be a Jet, got {c!r}")
-            if c.n != self.n:
-                raise DimensionMismatch(
-                    f"coefficient {k} lives in {c.n} variables, expected {self.n}"
-                )
-            if c.order != self.order:
-                raise OrderMismatch(
-                    f"coefficient {k} has order {c.order}, expected {self.order}"
-                )
-        object.__setattr__(self, "coefficients", coeffs)
+        super().__post_init__()
 
     @property
     def is_zero(self) -> bool:
@@ -118,10 +102,8 @@ class Derivation:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch("cannot add fields on different variable counts")
-        k = min(self.order, other.order)
-        return Derivation(self.n, k, tuple(
-            (a + b).truncate(k) for a, b in zip(self.coefficients, other.coefficients)
-        ))
+        pairs = zip(self.coefficients, other.coefficients)
+        return Derivation(self.n, min(self.order, other.order), tuple(a + b for a, b in pairs))
 
     def __neg__(self) -> "Derivation":
         return Derivation(self.n, self.order, tuple(-a for a in self.coefficients))
@@ -140,42 +122,7 @@ class Derivation:
 
     __rmul__ = __mul__
 
-    def truncate(self, k: int) -> "Derivation":
-        if k == self.order:
-            return self
-        return Derivation(self.n, k, tuple(a.truncate(k) for a in self.coefficients))
-
-    # comparison and serialization
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch("fields on different variable counts are incomparable")
-        if self.order != other.order:
-            raise OrderMismatch(
-                f"cannot compare fields of orders {self.order} and {other.order}"
-            )
-        return self.coefficients == other.coefficients
-
-    def equal_at(self, other: "Derivation", k: int) -> bool:
-        if self.n != other.n:
-            raise DimensionMismatch("fields on different variable counts are incomparable")
-        return all(a.equal_at(b, k) for a, b in zip(self.coefficients, other.coefficients))
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": self.order,
-            "coefficients": [c.to_dict() for c in self.coefficients],
-        }
-
-    @classmethod
-    def from_dict(cls, obj) -> "Derivation":
-        return cls(
-            obj["n"], obj["order"],
-            tuple(Jet.from_dict(j) for j in obj["coefficients"]),
-        )
+    # text form
 
     def __str__(self) -> str:
         parts = [
@@ -184,9 +131,6 @@ class Derivation:
             if not c.is_zero
         ]
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"<Derivation n={self.n} order={self.order}: {self}>"
 
 
 # -- standard fields -----------------------------------------------------------------

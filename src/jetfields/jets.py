@@ -12,10 +12,10 @@ the coefficient denominators and equal jets have equal forms).  Each
 operation works on numerators only and reduces once, by one gcd over the
 result, instead of once per coefficient.  Monomials are packed into ints
 (see ``_pack``), so a monomial product is one int addition and a degree
-test one comparison.  ``terms`` is built from the integer form on first
-use.  The canonical term order of ``str``, ``to_dict`` and iteration is
-read off the packed keys, and each coefficient is reduced by one gcd as
-it is printed.
+test one comparison.  The integer form is the only one a jet stores:
+``terms`` is built from it afresh on each access.  The canonical term
+order of ``str``, ``to_dict`` and iteration is read off the packed keys,
+and each coefficient is reduced by one gcd as it is printed.
 
 Precision is tracked per jet and every operation returns the largest
 order its result can honestly claim:
@@ -163,24 +163,6 @@ def _add_terms(a: tuple[dict, int], b: tuple[dict, int]) -> tuple[dict, int]:
     return out, den
 
 
-def _lincomb(pairs: Sequence[tuple[int, tuple[dict, int]]], limit: int) -> tuple[dict, int]:
-    """sum c * num/den over (c, (num, den)) pairs, over the lcm of the dens.
-
-    Zero sums and keys at or above ``limit`` are dropped.
-    """
-    pairs = [(c, num, d) for c, (num, d) in pairs if c and num]
-    if not pairs:
-        return {}, 1
-    den = lcm(*[d for _, _, d in pairs])
-    acc: dict = {}
-    get = acc.get
-    for c, num, d in pairs:
-        s = c * (den // d)
-        for k, v in num.items():
-            acc[k] = get(k, 0) + s * v
-    return {k: v for k, v in acc.items() if v and k < limit}, den
-
-
 def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, int]:
     """sum a/da * b/db over ((a, da), (b, db)) pairs, keys below ``limit``.
 
@@ -194,6 +176,9 @@ def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, 
     lists of (key, numerator) items, which are walked as given: a caller
     that uses one operand in many products sorts it once (``_sorted``).  A
     list need not be sorted when no product of its pair reaches ``limit``.
+    A linear combination sum c * b with integer c is a pass over pairs
+    (([(0, c)], 1), b), as in the tail of ``_subst_terms``: keys are degree
+    first, so the walk of each sorted b stops at the first key it would drop.
     """
     pairs = [(a, da * db, b) for (a, da), (b, db) in pairs if a and b]
     if not pairs:
@@ -237,7 +222,7 @@ def _derive_terms(num: dict, j: int, n: int, w: int) -> dict:
     return out
 
 
-_UNIT = ({0: 1}, 1)
+_UNIT = ([(0, 1)], 1)
 
 # Variables evaluated from the table of image products rather than by Horner.
 _TAIL = 2
@@ -265,15 +250,16 @@ def _chain(key: int, n: int, w: int, table: dict) -> tuple[object, list[tuple[in
 
 
 def _product(key: int, images: Sequence[tuple[list, int]], w: int, limit: int,
-             table: dict) -> tuple[dict, int]:
+             table: dict) -> tuple[list, int]:
     """The product of images[j] ** e_j over the exponent fields of the packed
     ``key`` (width ``w``), built on demand and kept in ``table``, which
-    starts as {0: _UNIT}, each missing product from its parent (``_chain``)."""
+    starts as {0: _UNIT}, each missing product from its parent (``_chain``)
+    and sorted once as it is built (``_sorted``)."""
     p = table.get(key)
     if p is None:
         p, steps = _chain(key, len(images), w, table)
         for k, j in steps:
-            p = table[k] = _reduce(*_dot_terms([(p, images[j])], limit))
+            p = table[k] = _sorted(_reduce(*_dot_terms([(p, images[j])], limit)))
     return p
 
 
@@ -318,16 +304,17 @@ def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int
     ``table`` under its packed tail monomial, which calls with the same
     images and ``full`` limit may share.  A table product is therefore
     always built to ``full``, the limit of the outermost call, whatever the
-    reduced limit of the call that first asks for it; the linear combination
-    drops the keys at or above its own limit, and skips terms whose own
-    keys reach it.
+    reduced limit of the call that first asks for it.  The combination is
+    one ``_dot_terms`` pass over (constant, product) pairs: it skips terms
+    whose own keys reach its limit, and walks each sorted product only up
+    to that limit, so the keys it would drop are never visited.
     """
     if not terms:
         return {}, 1
     n = len(images)
     if n - i <= _TAIL:
-        return _lincomb([(c, _product(k, images, w, full, table))
-                         for k, c in terms.items() if k < limit], limit)
+        return _dot_terms([(([(0, c)], 1), _product(k, images, w, full, table))
+                           for k, c in terms.items() if k < limit], limit)
     unit = 1 << (w * n)
     groups = _split(terms, i, n, w)
     head = images[i]
@@ -470,7 +457,6 @@ def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
     _set_w(obj, w)
     _set_num(obj, num)
     _set_den(obj, den)
-    _set_terms(obj, None)
     return obj
 
 
@@ -569,7 +555,7 @@ def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet
 class Jet:
     """A power series in n variables, exact through total degree ``order``."""
 
-    __slots__ = ("n", "order", "_w", "_num", "_den", "_terms")
+    __slots__ = ("n", "order", "_w", "_num", "_den")
 
     def __init__(self, n: int, order: int, terms: Mapping[Monomial, "Q"]) -> None:
         _check_ring(n, order)
@@ -596,7 +582,6 @@ class Jet:
         _set_w(self, w)
         _set_num(self, num)
         _set_den(self, den)
-        _set_terms(self, canon)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"jets are immutable; cannot set {name!r}")
@@ -639,13 +624,10 @@ class Jet:
 
     @property
     def terms(self) -> Mapping[Monomial, "Q"]:
-        """The coefficients as {exponent tuple: nonzero rational}."""
-        t = self._terms
-        if t is None:
-            n, w, den = self.n, self._w, self._den
-            t = {_unpack(k, n, w): Q(c, den) for k, c in self._num.items()}
-            _set_terms(self, t)
-        return t
+        """The coefficients as {exponent tuple: nonzero rational}, built
+        from the integer form on each access."""
+        n, w, den = self.n, self._w, self._den
+        return {_unpack(k, n, w): Q(c, den) for k, c in self._num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -892,11 +874,7 @@ class Jet:
             den = int(item["den"])
             if den == 0:
                 raise ValueError("zero denominator in jet term")
-            c = Q(num) / Q(den)
-            if e in terms:
-                terms[e] = terms[e] + c
-            else:
-                terms[e] = c
+            terms[e] = terms.get(e, _ZERO) + Q(num) / Q(den)
         return cls(n, order, terms)
 
     # text form
@@ -937,7 +915,7 @@ class Jet:
 # Slot setters bound once, so building a jet makes no ``__setattr__`` lookups
 # (``Jet.__setattr__`` raises, to keep jets immutable).
 _new = object.__new__
-_set_n, _set_order, _set_w, _set_num, _set_den, _set_terms = (
+_set_n, _set_order, _set_w, _set_num, _set_den = (
     getattr(Jet, slot).__set__ for slot in Jet.__slots__
 )
 
@@ -1080,3 +1058,84 @@ class JetMatrix:
 
     def __repr__(self) -> str:
         return f"<JetMatrix {self.n}x{self.n} order={self.order}: {self}>"
+
+
+# -- tuples of jets -----------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class JetTuple:
+    """n jets in n variables at one truncation order: the base of formal
+    maps, whose jets are their images, and of fields, their coefficients.
+
+    A subclass declares its tuple of jets as a third dataclass field, named
+    by ``_items``, and checks its own order floor in ``__post_init__``
+    before calling this one.  ``_label`` names jet k (1-based) in messages
+    and ``_kind`` names the values in plural; ``_check_jet`` is a hook for
+    a subclass's own per-jet check, run after the shared ones on each jet.
+    """
+
+    n: int
+    order: int
+
+    _items = _label = _kind = ""
+
+    def __post_init__(self) -> None:
+        jets = tuple(getattr(self, self._items))
+        if len(jets) != self.n:
+            raise DimensionMismatch(f"expected {self.n} {self._items}, got {len(jets)}")
+        for k, jet in enumerate(jets, start=1):
+            if not isinstance(jet, Jet):
+                raise TypeError(f"{self._label.format(k)} must be a Jet, got {jet!r}")
+            if jet.n != self.n:
+                raise DimensionMismatch(
+                    f"{self._label.format(k)} lives in {jet.n} variables, expected {self.n}"
+                )
+            if jet.order != self.order:
+                raise OrderMismatch(
+                    f"{self._label.format(k)} has order {jet.order}, expected {self.order}"
+                )
+            self._check_jet(k, jet)
+        object.__setattr__(self, self._items, jets)
+
+    def _check_jet(self, k: int, jet: Jet) -> None:
+        pass
+
+    @property
+    def _jets(self) -> tuple[Jet, ...]:
+        return getattr(self, self._items)
+
+    def _check_same_n(self, other: "JetTuple") -> None:
+        if self.n != other.n:
+            raise DimensionMismatch(
+                f"{self._kind} on {self.n} and {other.n} variables are incomparable"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_same_n(other)
+        if self.order != other.order:
+            raise OrderMismatch(
+                f"cannot compare {self._kind} of orders {self.order} and {other.order}"
+            )
+        return self._jets == other._jets
+
+    def equal_at(self, other: "JetTuple", k: int) -> bool:
+        self._check_same_n(other)
+        return all(a.equal_at(b, k) for a, b in zip(self._jets, other._jets))
+
+    def truncate(self, k: int):
+        if k == self.order:
+            return self
+        return type(self)(self.n, k, tuple(jet.truncate(k) for jet in self._jets))
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "order": self.order, self._items: [j.to_dict() for j in self._jets]}
+
+    @classmethod
+    def from_dict(cls, obj):
+        return cls(obj["n"], obj["order"], tuple(Jet.from_dict(j) for j in obj[cls._items]))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} n={self.n} order={self.order}: {self}>"

@@ -37,14 +37,13 @@ from .errors import (
     DimensionMismatch,
     NotContinuous,
     NotNilpotent,
-    OrderMismatch,
     PrecisionExhausted,
     SingularMatrix,
 )
-from .jets import (_EMPTY, Jet, JetMatrix, Monomial, _apply_partials, _check_ring, _jet,
-                   _join_layers, _Layers, _lift, _limit, _linear_row, _pack, _reduce,
+from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
+                   _jet, _join_layers, _Layers, _lift, _limit, _linear_row, _pack, _reduce,
                    _relaxed_terms, _scaled_layers, _width)
-from .rationals import Q, RationalLike, as_rational
+from .rationals import Q, RationalLike
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fields import Derivation
@@ -53,37 +52,21 @@ LinearPart = list[list["Q"]]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class FormalMap:
+class FormalMap(JetTuple):
     """A continuous endomorphism of the truncated series ring."""
 
-    n: int
-    order: int
     images: tuple[Jet, ...]
 
+    _items, _label, _kind = "images", "image of x{}", "maps"
+
     def __post_init__(self) -> None:
-        images = tuple(self.images)
         if not isinstance(self.order, int) or self.order < 1:
             raise ValueError(f"maps need truncation order >= 1, got {self.order!r}")
-        if len(images) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} images, got {len(images)}"
-            )
-        for k, img in enumerate(images, start=1):
-            if not isinstance(img, Jet):
-                raise TypeError(f"image of x{k} must be a Jet, got {img!r}")
-            if img.n != self.n:
-                raise DimensionMismatch(
-                    f"image of x{k} lives in {img.n} variables, expected {self.n}"
-                )
-            if img.order != self.order:
-                raise OrderMismatch(
-                    f"image of x{k} has order {img.order}, expected {self.order}"
-                )
-            if img.constant_term:
-                raise NotContinuous(
-                    f"image of x{k} has nonzero constant term {img.constant_term}"
-                )
-        object.__setattr__(self, "images", images)
+        super().__post_init__()
+
+    def _check_jet(self, k: int, img: Jet) -> None:
+        if img.constant_term:
+            raise NotContinuous(f"image of x{k} has nonzero constant term {img.constant_term}")
 
     # algebra
 
@@ -202,49 +185,10 @@ class FormalMap:
         _lift(nodes, ws, cap, _limit(cap, n, w))
         return FormalMap(n, cap, tuple(_join_layers(n, cap, s.layers) for s in ws))
 
-    # comparison and serialization
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalMap):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"maps on {self.n} and {other.n} variables are incomparable"
-            )
-        if self.order != other.order:
-            raise OrderMismatch(
-                f"cannot compare maps of orders {self.order} and {other.order}"
-            )
-        return self.images == other.images
-
-    def equal_at(self, other: "FormalMap", k: int) -> bool:
-        if self.n != other.n:
-            raise DimensionMismatch(
-                f"maps on {self.n} and {other.n} variables are incomparable"
-            )
-        return all(a.equal_at(b, k) for a, b in zip(self.images, other.images))
-
-    def truncate(self, k: int) -> "FormalMap":
-        if k == self.order:
-            return self
-        return FormalMap(self.n, k, tuple(img.truncate(k) for img in self.images))
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "order": self.order,
-            "images": [img.to_dict() for img in self.images],
-        }
-
-    @classmethod
-    def from_dict(cls, obj) -> "FormalMap":
-        return cls(obj["n"], obj["order"], tuple(Jet.from_dict(j) for j in obj["images"]))
+    # text form
 
     def __str__(self) -> str:
         return "; ".join(f"x{i + 1} -> {img}" for i, img in enumerate(self.images))
-
-    def __repr__(self) -> str:
-        return f"<FormalMap n={self.n} order={self.order}: {self}>"
 
 
 # -- constructors ---------------------------------------------------------------
@@ -261,12 +205,9 @@ def linear_map(matrix: Sequence[Sequence[RationalLike]], order: int) -> FormalMa
     for row in matrix:
         if len(row) != n:
             raise DimensionMismatch("linear part must be a square matrix")
-        terms: dict[Monomial, Q] = {}
-        for j, v in enumerate(row):
-            c = as_rational(v)
-            if c:
-                terms[tuple(1 if k == j else 0 for k in range(n))] = c
-        images.append(Jet(n, order, terms))
+        # Jet drops the zero entries.
+        images.append(Jet(n, order, {tuple(int(k == j) for k in range(n)): v
+                                     for j, v in enumerate(row)}))
     return FormalMap(n, order, tuple(images))
 
 

@@ -133,8 +133,12 @@ def _series(text: str, tokens: list, n: int, order: int, w: int,
             more = tokens[i] == "*" and tokens[i + 1][0] == "x"
             i += more
         if degree > order:
+            try:
+                shown = str(degree)
+            except ValueError:  # each exponent prints, but their sum may not
+                shown = f"longer than {sys.get_int_max_str_digits()} digits"
             raise _error(text, tokens, start,
-                         f"term of degree {degree} exceeds truncation order {order}")
+                         f"term of degree {shown} exceeds truncation order {order}")
         key |= degree << w * n
         if negate:
             p = -p

@@ -24,6 +24,7 @@ from jetfields import (
     FormalMap,
     Jet,
     JetMatrix,
+    NotContinuous,
     OrderMismatch,
     Q,
     matrix_inverse,
@@ -620,3 +621,88 @@ def test_det_of_degenerate_matrices():
         hole = JetMatrix(tuple([tuple(Jet.zero(n, 2) for _ in range(n))] + rows[1:]))
         assert hole.det() == Jet.zero(n, 2)
         assert JetMatrix.identity(n, 0).det() == Jet.constant(n, 0, 1)
+
+
+# -- errors of the value types ---------------------------------------------------------
+#
+# Maps and fields share their checks, equality, truncation and serialization;
+# each row pins the exception type and text one of them raises.
+
+
+def _var(n: int, order: int, i: int) -> Jet:
+    return Jet.variable(n, order, i)
+
+
+def _coords(cls, n: int, order: int):
+    return cls(n, order, tuple(_var(n, order, i) for i in range(1, n + 1)))
+
+
+VALUE_TYPE_ERRORS = [
+    (lambda: FormalMap(2, 2, (_var(2, 2, 1),)),
+     DimensionMismatch, "expected 2 images, got 1"),
+    (lambda: FormalMap(2, 2, (_var(2, 2, 1), "x2")),
+     TypeError, "image of x2 must be a Jet, got 'x2'"),
+    (lambda: FormalMap(2, 2, (_var(2, 2, 1), _var(3, 2, 2))),
+     DimensionMismatch, "image of x2 lives in 3 variables, expected 2"),
+    (lambda: FormalMap(2, 2, (_var(2, 2, 1), _var(2, 3, 2))),
+     OrderMismatch, "image of x2 has order 3, expected 2"),
+    (lambda: FormalMap(1, 0, (Jet.zero(1, 0),)),
+     ValueError, "maps need truncation order >= 1, got 0"),
+    # The constant term of image 1 is reported before the bad image 2.
+    (lambda: FormalMap(2, 2, (_var(2, 2, 1) + 1, "x2")),
+     NotContinuous, "image of x1 has nonzero constant term 1"),
+    (lambda: FormalMap(2, 2, (_var(2, 2, 1) + 1, _var(3, 2, 2))),
+     NotContinuous, "image of x1 has nonzero constant term 1"),
+    (lambda: Derivation(2, 2, (_var(2, 2, 1),)),
+     DimensionMismatch, "expected 2 coefficients, got 1"),
+    (lambda: Derivation(2, 2, (_var(2, 2, 1), 3)),
+     TypeError, "coefficient 2 must be a Jet, got 3"),
+    (lambda: Derivation(2, 2, (_var(2, 2, 1), _var(3, 2, 2))),
+     DimensionMismatch, "coefficient 2 lives in 3 variables, expected 2"),
+    (lambda: Derivation(2, 2, (_var(2, 2, 1), _var(2, 3, 2))),
+     OrderMismatch, "coefficient 2 has order 3, expected 2"),
+    (lambda: Derivation(1, -1, (Jet.zero(1, 0),)),
+     ValueError, "field order must be a non-negative int, got -1"),
+    (lambda: _coords(FormalMap, 2, 2) == _coords(FormalMap, 3, 2),
+     DimensionMismatch, "maps on 2 and 3 variables are incomparable"),
+    (lambda: _coords(FormalMap, 2, 2).equal_at(_coords(FormalMap, 3, 2), 1),
+     DimensionMismatch, "maps on 2 and 3 variables are incomparable"),
+    (lambda: _coords(FormalMap, 1, 2) == _coords(FormalMap, 1, 3),
+     OrderMismatch, "cannot compare maps of orders 2 and 3"),
+    (lambda: _coords(Derivation, 2, 2) == _coords(Derivation, 3, 2),
+     DimensionMismatch, "fields on 2 and 3 variables are incomparable"),
+    (lambda: _coords(Derivation, 2, 2).equal_at(_coords(Derivation, 3, 2), 1),
+     DimensionMismatch, "fields on 2 and 3 variables are incomparable"),
+    (lambda: _coords(Derivation, 1, 2) == _coords(Derivation, 1, 3),
+     OrderMismatch, "cannot compare fields of orders 2 and 3"),
+    (lambda: FormalMap.from_dict({"n": 1, "order": 1}), KeyError, "'images'"),
+    (lambda: Derivation.from_dict({"n": 1, "order": 1, "images": []}),
+     KeyError, "'coefficients'"),
+]
+
+
+@pytest.mark.parametrize("make, exc, text", VALUE_TYPE_ERRORS,
+                         ids=[text for _, _, text in VALUE_TYPE_ERRORS])
+def test_value_type_errors(make, exc, text):
+    with pytest.raises(exc) as info:
+        make()
+    assert type(info.value) is exc
+    assert str(info.value) == text
+
+
+def test_value_types_round_trip_and_compare():
+    sigma, field = _coords(FormalMap, 2, 3), _coords(Derivation, 2, 3)
+    assert repr(sigma) == "<FormalMap n=2 order=3: x1 -> x1; x2 -> x2>"
+    assert repr(field) == "<Derivation n=2 order=3: (x1)*d1 + (x2)*d2>"
+    assert (sigma == field) is False and (field == sigma) is False
+    for value in (sigma, field):
+        cls = type(value)
+        assert cls.from_dict(value.to_dict()) == value
+        assert type(value.truncate(2)) is cls and value.truncate(3) is value
+        assert value.truncate(2).equal_at(value, 2)
+        assert value.truncate(2) == cls(2, 2, tuple(_var(2, 2, i) for i in (1, 2)))
+    assert set(sigma.to_dict()) == {"n", "order", "images"}
+    assert set(field.to_dict()) == {"n", "order", "coefficients"}
+    with pytest.raises(ValueError, match="maps need truncation order >= 1"):
+        sigma.truncate(0)
+    assert field.truncate(0).order == 0

@@ -101,6 +101,16 @@ def test_long_literals_and_non_ascii_digits_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: col 2: unexpected character 'x'\n")
 
 
+def test_result_past_the_digit_limit_exits_2(capsys):
+    # Each literal prints; their product has twice the digits and does not.
+    limit = sys.get_int_max_str_digits()
+    image = f"x1 -> {'7' * 3000}*x1"
+    code, out, err = run(capsys, "compose", "-n", "1", "-N", "2", image, image)
+    assert (code, out, err) == (
+        2, "", f"error: result has a coefficient longer than {limit} digits\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
 # -- routing: main against the top-level parser ------------------------------------
 
 # main hands an argv that starts with a command name to that command's

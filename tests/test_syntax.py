@@ -82,6 +82,11 @@ def test_parse_series_errors():
         ("x" + "1" * 5000, 1, 3, f"col 1: integer longer than {DIGITS} digits"),
         ("x1^" + "9" * 5000, 1, 3, f"col 4: integer longer than {DIGITS} digits"),
         ("1/" + "7" * 5000, 1, 3, f"col 3: integer longer than {DIGITS} digits"),
+        # Each exponent is within the limit; the term's degree is not.
+        ("x1^" + "9" * DIGITS + "*x1^" + "9" * DIGITS, 1, 3,
+         f"col 1: term of degree longer than {DIGITS} digits exceeds truncation order 3"),
+        ("2 + x1^" + "9" * DIGITS + "*x1^" + "9" * DIGITS, 1, 3,
+         f"col 5: term of degree longer than {DIGITS} digits exceeds truncation order 3"),
         ("x\u0661", 1, 3, "col 1: unexpected character 'x'"),
         ("\u0662*x1", 1, 3, "col 1: unexpected character '\u0662'"),
         ("x1 + 3/\u0664", 1, 3, "col 8: unexpected character '\u0664'"),
