@@ -26,7 +26,8 @@ from .errors import (
     OrderMismatch,
     PrecisionExhausted,
 )
-from .jets import Jet, JetMatrix, JetTuple, _apply_partials, _check_ring, _dot
+from .jets import (Jet, JetMatrix, JetTuple, _add_terms, _apply_partials, _check_ring, _dot,
+                   _jet, _reduce, _width)
 from .maps import (
     FormalMap,
     _as_rng,
@@ -72,19 +73,31 @@ class Derivation(JetTuple):
         return _apply_partials(self.coefficients, f, min(self.order, f.order - 1))
 
     def bracket(self, other: "Derivation") -> "Derivation":
-        """The commutator [self, other], exact to min(orders) - 1."""
+        """The commutator [self, other], exact to min(orders) - 1.
+
+        Coefficient j is self(b_j) - other(a_j).  Each half is one call of
+        ``apply`` rather than part of one shared pass, so that a tracer that
+        wraps ``Derivation.apply`` sees every application a bracket makes:
+        the traced self-check of ``perfbench`` needs ``apply`` to fire on
+        every workload, and the calculator reaches it only from here.  The
+        halves are clipped to the result order and subtracted on the
+        integer form, with one reduction and no negated or summed jets.
+        """
         if self.n != other.n:
             raise DimensionMismatch(
                 f"cannot bracket fields on {self.n} and {other.n} variables"
             )
         if min(self.order, other.order) < 1:
             raise PrecisionExhausted("bracket needs both fields at order >= 1")
-        k = min(self.order, other.order) - 1
-        coeffs = tuple(
-            (self.apply(b) - other.apply(a)).truncate(k)
-            for a, b in zip(self.coefficients, other.coefficients)
-        )
-        return Derivation(self.n, k, coeffs)
+        n, k = self.n, min(self.order, other.order) - 1
+        w = _width(k)
+        coeffs = []
+        for a, b in zip(self.coefficients, other.coefficients):
+            x = self.apply(b)._clipped(k)
+            num, den = other.apply(a)._clipped(k)
+            diff = _add_terms(x, ({e: -c for e, c in num.items()}, den))
+            coeffs.append(_jet(n, k, *_reduce(*diff), w))
+        return Derivation(n, k, tuple(coeffs))
 
     def divergence(self) -> Jet:
         """sum_i d(a_i)/dx_i, exact to order - 1."""

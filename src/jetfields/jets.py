@@ -500,13 +500,16 @@ def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
     is built straight from f's numerators and kept over f's denominator,
     with no jet and no reduction in between.  Operands go in as ``_form``
     gives them, except that a partial in another key layout is repacked,
-    dropping its degrees above k.
+    dropping its degrees above k.  A zero or constant f has zero partials,
+    so it gives the zero jet of order k straight away, with no pass.
     """
-    n, w = f.n, _width(k)
+    n, w, terms = f.n, _width(k), f._num
+    if not terms or (len(terms) == 1 and 0 in terms):
+        return _jet(n, k, {}, 1, w)
     pairs = []
     for j, a in enumerate(coeffs):
         if a._num:
-            part = _derive_terms(f._num, j, n, f._w)
+            part = _derive_terms(terms, j, n, f._w)
             if f._w != w:
                 part = _repack(part, n, f._w, w, k)
             pairs.append((_form(a, k), (part, f._den)))
@@ -1070,9 +1073,11 @@ class JetTuple:
 
     A subclass declares its tuple of jets as a third dataclass field, named
     by ``_items``, and checks its own order floor in ``__post_init__``
-    before calling this one.  ``_label`` names jet k (1-based) in messages
-    and ``_kind`` names the values in plural; ``_check_jet`` is a hook for
-    a subclass's own per-jet check, run after the shared ones on each jet.
+    before calling this one, which checks the ring (``n`` and ``order`` as
+    ``Jet`` does) before any jet.  ``_label`` names jet k (1-based) in
+    messages and ``_kind`` names the values in plural; ``_check_jet`` is a
+    hook for a subclass's own per-jet check, run after the shared ones on
+    each jet.
     """
 
     n: int
@@ -1081,6 +1086,7 @@ class JetTuple:
     _items = _label = _kind = ""
 
     def __post_init__(self) -> None:
+        _check_ring(self.n, self.order)
         jets = tuple(getattr(self, self._items))
         if len(jets) != self.n:
             raise DimensionMismatch(f"expected {self.n} {self._items}, got {len(jets)}")

@@ -314,14 +314,11 @@ def _eval_c8(n: int, order: int, inputs: Inputs) -> Outcome:
 
 def _scaled_translation_fields(n: int, order: int, lam) -> list[Derivation]:
     # G_i = x_i d_i + sum_k lam_k d_k
+    consts = [Jet.constant(n, order, c) for c in lam]
     out = []
     for i in range(n):
-        coeffs = []
-        for k in range(n):
-            base = Jet.constant(n, order, lam[k])
-            if k == i:
-                base = base + Jet.variable(n, order, i + 1)
-            coeffs.append(base)
+        coeffs = list(consts)
+        coeffs[i] = consts[i] + Jet.variable(n, order, i + 1)
         out.append(Derivation(n, order, tuple(coeffs)))
     return out
 
@@ -329,18 +326,16 @@ def _scaled_translation_fields(n: int, order: int, lam) -> list[Derivation]:
 def _noncommutation_holds(n: int, order: int, lam) -> bool:
     gs = _scaled_translation_fields(n, order, lam)
     k = order - 1
+    # [G_i, G_j] = lam_j d_j - lam_i d_i
+    plus = [Jet.constant(n, k, c) for c in lam]
+    minus = [-c for c in plus]
+    zero = Jet.zero(n, k)
     saw_nonzero = False
     for i in range(n):
         for j in range(i + 1, n):
             br = gs[i].bracket(gs[j])
-            expected_coeffs = []
-            for m in range(n):
-                if m == i:
-                    expected_coeffs.append(Jet.constant(n, k, -Q(lam[i])))
-                elif m == j:
-                    expected_coeffs.append(Jet.constant(n, k, Q(lam[j])))
-                else:
-                    expected_coeffs.append(Jet.zero(n, k))
+            expected_coeffs = [zero] * n
+            expected_coeffs[i], expected_coeffs[j] = minus[i], plus[j]
             expected = Derivation(n, k, tuple(expected_coeffs))
             if br != expected:
                 return False
@@ -536,13 +531,15 @@ CHECK_IDS = tuple(CHECKS)
 # (n = 4, order 8: 495 monomials) and 11 ms at (4, 10), the largest ring
 # admitted, on a 2-vCPU Xeon under Python 3.11, and a trial runs hundreds
 # of products.  C9's grid brackets every pair of n scaled translation
-# fields for each of the 3**n - 1 nonzero weight vectors, at about 0.45 ms
-# a bracket there; the ceiling admits n <= 5, about 1.1 s a cell, and
-# refuses n = 6, about 5 s.  C2 and C3 take Jacobian determinants, and so
-# does C5's control; ``JetMatrix.det`` makes n * 2**(n - 1) - n products
-# and keeps 2**n minors, so its cost doubles with each variable.  On the
-# same machine one C2 trial took 0.3-0.5 s at (8, 4), the costliest ring
-# admitted at n = 8, 1.0-1.2 s at (9, 4) and 3.0-4.3 s at (10, 4).
+# fields for each of the 3**n - 1 nonzero weight vectors, at about 0.07 ms
+# a bracket on the largest ring admitted at each n; the ceiling admits
+# n <= 5, about 0.2 s a cell of 100 trials at (5, 7), and refuses n = 6,
+# whose grid alone takes about 0.7 s at (6, 6).  C2 and C3 take Jacobian
+# determinants, and so does C5's control; ``JetMatrix.det`` makes
+# n * 2**(n - 1) - n products and keeps 2**n minors, so its cost doubles
+# with each variable.  On the same machine one C2 trial took 0.3-0.5 s at
+# (8, 4), the costliest ring admitted at n = 8, 1.0-1.2 s at (9, 4) and
+# 3.0-4.3 s at (10, 4).
 MAX_RING_SIZE = 1001
 MAX_GRID_BRACKETS = 2500
 MAX_DET_VARS = 8

@@ -64,6 +64,14 @@ def _unknown(text: str, tokens: list, i: int, n: int, name: str) -> ParseError:
                                    f"{n} variable{'s' if n != 1 else ''})")
 
 
+def _digits(value: int) -> str:
+    """``value`` in decimal, or its length when that is past the digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"longer than {sys.get_int_max_str_digits()} digits"
+
+
 def _parse(walk, text: str, n: int, order: int):
     _check_ring(n, order)
     tokens = _TOKEN_RE.findall(text)
@@ -133,12 +141,10 @@ def _series(text: str, tokens: list, n: int, order: int, w: int,
             more = tokens[i] == "*" and tokens[i + 1][0] == "x"
             i += more
         if degree > order:
-            try:
-                shown = str(degree)
-            except ValueError:  # each exponent prints, but their sum may not
-                shown = f"longer than {sys.get_int_max_str_digits()} digits"
-            raise _error(text, tokens, start,
-                         f"term of degree {shown} exceeds truncation order {order}")
+            # Each exponent prints, but their sum may not, nor may an order
+            # passed in through the API.
+            raise _error(text, tokens, start, f"term of degree {_digits(degree)} "
+                         f"exceeds truncation order {_digits(order)}")
         key |= degree << w * n
         if negate:
             p = -p

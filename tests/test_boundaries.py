@@ -19,6 +19,8 @@ import pytest
 
 from conftest import seeded_rng
 from jetfields import (
+    CHECKS,
+    ConfigError,
     Derivation,
     DimensionMismatch,
     FormalMap,
@@ -32,8 +34,10 @@ from jetfields import (
     pushforward,
     linalg,
     random_automorphism,
+    rerun_payload,
 )
 from jetfields.jets import _jet, _pack, _unpack
+from jetfields.suite import _serialize_inputs
 from test_jets import naive_derivative, naive_mul, naive_substitute, random_jet
 
 
@@ -663,6 +667,13 @@ VALUE_TYPE_ERRORS = [
      OrderMismatch, "coefficient 2 has order 3, expected 2"),
     (lambda: Derivation(1, -1, (Jet.zero(1, 0),)),
      ValueError, "field order must be a non-negative int, got -1"),
+    # The ring is checked as Jet checks it, before any jet: 1.0 == True == 1.
+    (lambda: Derivation(1.0, 3, (_var(1, 3, 1),)),
+     ValueError, "variable count must be a positive int, got 1.0"),
+    (lambda: FormalMap(True, 3, (_var(1, 3, 1),)),
+     ValueError, "variable count must be a positive int, got True"),
+    (lambda: Derivation(1, True, (_var(1, 1, 1),)),
+     ValueError, "truncation order must be a non-negative int, got True"),
     (lambda: _coords(FormalMap, 2, 2) == _coords(FormalMap, 3, 2),
      DimensionMismatch, "maps on 2 and 3 variables are incomparable"),
     (lambda: _coords(FormalMap, 2, 2).equal_at(_coords(FormalMap, 3, 2), 1),
@@ -706,3 +717,18 @@ def test_value_types_round_trip_and_compare():
     with pytest.raises(ValueError, match="maps need truncation order >= 1"):
         sigma.truncate(0)
     assert field.truncate(0).order == 0
+
+
+@pytest.mark.parametrize("check, kind, n, bad", [
+    ("C6", "fields", 2, 2.0),
+    ("C6", "fields", 1, True),
+    ("C1", "maps", 1, 1.0),
+    ("C1", "maps", 1, True),
+])
+def test_rerun_payload_refuses_a_ring_that_is_no_int(check, kind, n, bad):
+    # The bad "n" equals the payload's n, so only the value's own ring check sees it.
+    inputs = CHECKS[check].generate(seeded_rng(f"ring {check} {n}"), n, 4)
+    payload = {"check": check, "n": n, "order": 4, **_serialize_inputs(inputs)}
+    payload[kind][0]["n"] = bad
+    with pytest.raises(ConfigError, match="variable count must be a positive int"):
+        rerun_payload(payload)

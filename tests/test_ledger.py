@@ -11,8 +11,9 @@ degrees, and recomputes:
   claim + 1, so no larger claim would be honest.
 
 The cases cover ``substitute`` (with images below f's order), ``compose``,
-``apply_matrix`` and ``pushforward``, at small orders and across the
-15 <-> 16 key-layout boundary, where a lifted operand is repacked.
+``apply_matrix``, ``pushforward``, the derivation action ``apply`` and
+``bracket``, at small orders and across the 15 <-> 16 key-layout boundary,
+where a lifted operand is repacked.
 """
 
 from __future__ import annotations
@@ -106,11 +107,43 @@ def pushforward_case(rng, orders):
     return (sigma, field), pushforward, min(r, p - 1)
 
 
+def linear(rng: random.Random, n: int) -> dict:
+    """A nonzero term x_i for every variable."""
+    return {tuple(int(j == i) for j in range(n)): Q(rng.randint(1, 3)) for i in range(n)}
+
+
+def dense_field(rng: random.Random, n: int, order: int) -> Derivation:
+    # A nonzero constant in every coefficient, so that a lift of the other
+    # operand's top degree reaches the claim + 1, as in the two cases below.
+    return Derivation(n, order, tuple(
+        Jet(n, order, {**terms(rng, n, 1, order, 3), (0,) * n: Q(rng.randint(1, 3))})
+        for _ in range(n)))
+
+
+def apply_case(rng, orders):
+    # X(f) at degree c + 1 takes X's constants times the lift of f's degree
+    # c + 2 when c = f.order - 1, and the lift of X's degree c + 1 times f's
+    # linear terms when c = X.order.
+    n, (p, q) = shape(rng, 2, orders)
+    f = Jet(n, q, {**terms(rng, n, 0, q, 3), **linear(rng, n)})
+    return (dense_field(rng, n, p), f), lambda x, f: x.apply(f), min(p, q - 1)
+
+
+def bracket_case(rng, orders):
+    # [X, Y] at degree k + 1 = min(orders) takes the constants of the field
+    # of higher order times the lift of the other field's degree k + 2.
+    n, (p, q) = shape(rng, 2, orders)
+    x, y = dense_field(rng, n, p), dense_field(rng, n, q)
+    return (x, y), lambda x, y: x.bracket(y), min(p, q) - 1
+
+
 CASES = {
     "substitute": substitute_case,
     "compose": compose_case,
     "apply_matrix": apply_matrix_case,
     "pushforward": pushforward_case,
+    "apply": apply_case,
+    "bracket": bracket_case,
 }
 
 

@@ -1,11 +1,11 @@
 """An independent oracle: sympy's polynomial algebra, truncated by degree.
 
 Products, substitution, determinants, Jacobian matrices and determinants,
-the derivation action and matrix inversion are compared with sympy's
-expansion of the same polynomials, cut at the order the kernel claims, and
-every comparison also asserts that claimed order.  Map inversion is
-checked by composing with sympy's sparse polynomials, in both directions,
-and the flow of a field against its Lie series summed in sympy.
+the derivation action, the bracket and matrix inversion are compared with
+sympy's expansion of the same polynomials, cut at the order the kernel
+claims, and every comparison also asserts that claimed order.  Map
+inversion is checked by composing with sympy's sparse polynomials, in both
+directions, and the flow of a field against its Lie series summed in sympy.
 The fraction-free ``linalg.det`` and ``linalg.inverse`` are compared with
 sympy's rational matrices.  The whole module is skipped where sympy is not
 installed.
@@ -299,6 +299,11 @@ def test_invert_matches_sympy(sigma):
         assert [composed(f, inner, order, r) for f in outer] == list(r.gens)
 
 
+def sympy_action(coeffs, f):
+    """sum_i coeffs[i] * df/dx_i on sympy expressions."""
+    return sympy.Add(*(a * sympy.diff(f, x) for a, x in zip(coeffs, XS)))
+
+
 @st.composite
 def applications(draw):
     field = draw(derivations(n_values=(1, 2, 3, 4), order_values=(0, 1, 2, 3, 4)))
@@ -312,9 +317,67 @@ def test_derivation_apply_matches_sympy(case):
     out = field.apply(f)
     claimed = min(field.order, f.order - 1)
     assert out.order == claimed
-    expr = sympy.Add(*(to_sympy(a) * sympy.diff(to_sympy(f), x)
-                       for a, x in zip(field.coefficients, XS)))
+    expr = sympy_action([to_sympy(a) for a in field.coefficients], to_sympy(f))
     assert out.terms == truncated_terms(expr, f.n, claimed)
+
+
+def coefficients(n: int, order: int, kind: str) -> st.SearchStrategy:
+    if kind == "zero":
+        return st.just(Jet.zero(n, order))
+    if kind == "constant":
+        return rationals().map(lambda c: Jet.constant(n, order, c))
+    return jets(n, order, max_terms=4)
+
+
+@st.composite
+def field_pairs(draw):
+    # Orders drawn apart, so that an apply's result outruns the bracket's
+    # order and must be clipped to it; coefficients zero, constant or not,
+    # and now and then a field constant throughout.
+    n = draw(st.integers(1, 4))
+    pair = []
+    for _ in range(2):
+        order = draw(st.integers(1, 6))
+        kinds = st.sampled_from(("constant",) if draw(st.integers(0, 2)) == 0
+                                else ("zero", "constant", "general", "general"))
+        pair.append(Derivation(n, order, tuple(
+            draw(coefficients(n, order, draw(kinds))) for _ in range(n))))
+    return tuple(pair)
+
+
+def seeded_field(n: int, order: int, salt: str, constant: bool = False) -> Derivation:
+    rng = seeded_rng(f"bracket-oracle-{n}-{order}-{salt}")
+    const = Q(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+    if constant:
+        return Derivation(n, order, (Jet.constant(n, order, const),) * n)
+    return Derivation(n, order, tuple(
+        Jet(n, order, seeded_terms(rng, n, order, const)) for _ in range(n)))
+
+
+@EXAMPLES
+@given(field_pairs())
+# k = 15 is in the 4-bit key layout, applies of order 16 are in the 8-bit one.
+@example((seeded_field(2, 16, "x"), seeded_field(2, 17, "y")))
+@example((seeded_field(2, 17, "x"), seeded_field(2, 16, "y")))
+@example((seeded_field(2, 16, "x"), seeded_field(2, 16, "y")))
+@example((seeded_field(2, 16, "x", constant=True), seeded_field(2, 17, "y")))
+def test_bracket_matches_sympy(pair):
+    # [X, Y]_j = X(b_j) - Y(a_j) = sum_i a_i d_i b_j - b_i d_i a_j, cut at
+    # min(orders) - 1; each half is checked at the order its apply claims.
+    x, y = pair
+    n, k = x.n, min(x.order, y.order) - 1
+    out = x.bracket(y)
+    assert out.order == k
+    a = [to_sympy(c) for c in x.coefficients]
+    b = [to_sympy(c) for c in y.coefficients]
+    for j in range(n):
+        for field, coeffs, g, h in ((x, a, y.coefficients[j], b[j]),
+                                    (y, b, x.coefficients[j], a[j])):
+            half = field.apply(g)
+            assert half.order == min(field.order, g.order - 1)
+            assert half.terms == truncated_terms(sympy_action(coeffs, h), n, half.order)
+        expr = sympy_action(a, b[j]) - sympy_action(b, a[j])
+        assert out.coefficients[j].terms == truncated_terms(expr, n, k)
 
 
 @st.composite

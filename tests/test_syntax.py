@@ -87,6 +87,10 @@ def test_parse_series_errors():
          f"col 1: term of degree longer than {DIGITS} digits exceeds truncation order 3"),
         ("2 + x1^" + "9" * DIGITS + "*x1^" + "9" * DIGITS, 1, 3,
          f"col 5: term of degree longer than {DIGITS} digits exceeds truncation order 3"),
+        # An order past the limit, possible only through the API, prints the same way.
+        ("*".join(["x1^" + "9" * DIGITS] * 3), 1, 10 ** DIGITS,
+         f"col 1: term of degree longer than {DIGITS} digits exceeds truncation order "
+         f"longer than {DIGITS} digits"),
         ("x\u0661", 1, 3, "col 1: unexpected character 'x'"),
         ("\u0662*x1", 1, 3, "col 1: unexpected character '\u0662'"),
         ("x1 + 3/\u0664", 1, 3, "col 8: unexpected character '\u0664'"),
