@@ -35,20 +35,16 @@ from .fields import (
     pushforward,
     random_divergence_free,
     random_field,
-    zero_field,
 )
-from .jets import Jet, JetMatrix, Monomial, grlex_key
+from .jets import Jet, JetMatrix, Monomial
 from .maps import (
     FormalMap,
     LinearPart,
     exp_flow,
     identity_map,
-    linear_map,
     matrix_inverse,
     random_automorphism,
     random_const_jacobian,
-    random_shear,
-    shear,
 )
 from .rationals import BACKEND, Q, as_rational
 from .suite import (
@@ -112,9 +108,7 @@ __all__ = [
     "decompose_const_div",
     "euler_field",
     "exp_flow",
-    "grlex_key",
     "identity_map",
-    "linear_map",
     "matrix_inverse",
     "negative_control_map",
     "parse_field",
@@ -126,12 +120,9 @@ __all__ = [
     "random_const_jacobian",
     "random_divergence_free",
     "random_field",
-    "random_shear",
     "rerun_payload",
     "run_check",
     "run_suite",
-    "shear",
     "trial_seed",
-    "zero_field",
     "__version__",
 ]

@@ -118,14 +118,6 @@ class Derivation(JetTuple):
         pairs = zip(self.coefficients, other.coefficients)
         return Derivation(self.n, min(self.order, other.order), tuple(a + b for a, b in pairs))
 
-    def __neg__(self) -> "Derivation":
-        return Derivation(self.n, self.order, tuple(-a for a in self.coefficients))
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.__add__(-other)
-
     def __mul__(self, scalar) -> "Derivation":
         try:
             c = as_rational(scalar)
@@ -147,10 +139,6 @@ class Derivation(JetTuple):
 
 
 # -- standard fields -----------------------------------------------------------------
-
-
-def zero_field(n: int, order: int) -> Derivation:
-    return Derivation(n, order, tuple(Jet.zero(n, order) for _ in range(n)))
 
 
 def partial_field(n: int, order: int, i: int) -> Derivation:
@@ -239,8 +227,7 @@ class DivergenceClass:
     """Verdict of ``classify_divergence`` at a stated order.
 
     ``kind`` is "zero", "constant", or "nonconstant"; ``value`` is the
-    constant (0 for kind "zero", None for "nonconstant").  A verdict of
-    order 0 only sees the constant term and is flagged weak.
+    constant (0 for kind "zero", None for "nonconstant").
     """
 
     kind: str
@@ -250,10 +237,6 @@ class DivergenceClass:
     @property
     def is_constant(self) -> bool:
         return self.kind in ("zero", "constant")
-
-    @property
-    def weak(self) -> bool:
-        return self.verdict_order < 1
 
 
 def classify_divergence(field: Derivation) -> DivergenceClass:
@@ -279,7 +262,7 @@ def decompose_const_div(field: Derivation) -> tuple[Derivation, "Q"]:
             f"divergence {field.divergence()} is not constant at order {verdict.verdict_order}"
         )
     c = verdict.value
-    remainder = field - euler_field(field.n, field.order, 1) * c
+    remainder = field + euler_field(field.n, field.order, 1) * -c
     return remainder, c
 
 

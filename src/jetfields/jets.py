@@ -14,7 +14,7 @@ result, instead of once per coefficient.  Monomials are packed into ints
 (see ``_pack``), so a monomial product is one int addition and a degree
 test one comparison.  The integer form is the only one a jet stores:
 ``terms`` is built from it afresh on each access.  The canonical term
-order of ``str``, ``to_dict`` and iteration is read off the packed keys,
+order of ``str`` and ``to_dict`` is read off the packed keys,
 and each coefficient is reduced by one gcd as it is printed.
 
 Precision is tracked per jet and every operation returns the largest
@@ -54,15 +54,6 @@ from .rationals import Q, RationalLike, as_rational
 Monomial = tuple[int, ...]
 
 _ZERO = Q(0)
-
-
-def grlex_key(exps: Monomial) -> tuple[int, tuple[int, ...]]:
-    """Sort key for the canonical term order.
-
-    Ascending total degree; within a degree, higher powers of earlier
-    variables come first (x1^2 before x1*x2 before x2^2).
-    """
-    return (sum(exps), tuple(-e for e in exps))
 
 
 # -- packed monomials ------------------------------------------------------------
@@ -467,6 +458,20 @@ def _check_ring(n: int, order: int) -> None:
         raise ValueError(f"truncation order must be a non-negative int, got {order!r}")
 
 
+def _term_int(item: Mapping, field: str) -> int:
+    """A term's ``num`` or ``den``: a decimal integer string, or a non-bool int.
+
+    A float, bool or any other value is refused rather than truncated, so a
+    payload cannot decode to a different jet from the one it records.
+    """
+    value = item[field]
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+        return int(value)
+    raise ValueError(f"jet term {field} must be a decimal integer string, got {value!r}")
+
+
 def _form(jet: "Jet", k: int) -> tuple[dict, int]:
     """The integer form of ``jet`` as an operand of a product pass capped at order k.
 
@@ -650,18 +655,14 @@ class Jet:
             return math.inf
         return min(self._num) >> (self._w * self.n)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, "Q"]]:
-        n, w = self.n, self._w
-        for k, p, q in self._walk():
-            yield _unpack(k, n, w), Q(p, q)
-
     def _walk(self) -> Iterator[tuple[int, int, int]]:
         """(packed key, p, q) per term in canonical order, with p/q reduced.
 
-        The canonical order is read off the packed keys: flipping their
-        exponent fields keeps the degree field on top and puts higher powers
-        of earlier variables first, so the flipped keys sort ascending in
-        ``grlex_key`` order.
+        The canonical order is ascending total degree and, within a degree,
+        higher powers of earlier variables first (x1^2 before x1*x2 before
+        x2^2).  It is read off the packed keys: flipping their exponent
+        fields keeps the degree field on top and puts higher powers of
+        earlier variables first, so the flipped keys sort ascending in it.
         """
         num, den, n, w = self._num, self._den, self.n, self._w
         for k in sorted(num, key=((1 << (w * n)) - 1).__xor__):
@@ -873,8 +874,7 @@ class Jet:
         terms: dict[Monomial, Q] = {}
         for item in raw:
             e = tuple(item["exp"])
-            num = int(item["num"])
-            den = int(item["den"])
+            num, den = _term_int(item, "num"), _term_int(item, "den")
             if den == 0:
                 raise ValueError("zero denominator in jet term")
             terms[e] = terms.get(e, _ZERO) + Q(num) / Q(den)
@@ -959,37 +959,8 @@ class JetMatrix:
     def order(self) -> int:
         return self.rows[0][0].order
 
-    @classmethod
-    def identity(cls, n: int, order: int) -> "JetMatrix":
-        one = Jet.constant(n, order, 1)
-        zero = Jet.zero(n, order)
-        return cls(tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
-
-    @classmethod
-    def constant(cls, values: Sequence[Sequence[RationalLike]], order: int) -> "JetMatrix":
-        n = len(values)
-        return cls(tuple(
-            tuple(Jet.constant(n, order, v) for v in row) for row in values
-        ))
-
     def map_entries(self, fn) -> "JetMatrix":
         return JetMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check_compatible(other)
-        return JetMatrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check_compatible(other)
-        return JetMatrix(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        ))
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         self._check_compatible(other)

@@ -9,7 +9,7 @@ denominators and eliminate fraction-free: each update is divided exactly
 by the previous pivot (Bareiss, Math. Comp. 22(103), 1968), and each row
 is kept from its current column on.  A scaled row is a nonzero multiple of
 the row that rational elimination holds, so both pick the same pivots.
-``rref`` and ``kernel_basis`` stay on rationals.
+``kernel_basis`` stays on rationals.
 """
 
 from __future__ import annotations
@@ -87,15 +87,19 @@ def inverse(a: Matrix) -> Matrix:
     return [[Q(x, prev) for x in row] for row in m]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
+def kernel_basis(a: Matrix, ncols: int) -> list[Vector]:
+    """A canonical basis of the right kernel of ``a`` (ncols columns).
+
+    ``a`` is brought to reduced row echelon form.  Each basis vector has a
+    1 in one free column and the forced pivot entries elsewhere; vectors
+    are ordered by free column index.
+    """
     m = [row[:] for row in a]
-    if not m:
-        return m, []
-    ncols = len(m[0])
     pivots: list[int] = []
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
         pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
@@ -107,27 +111,12 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
         pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
-
-
-def kernel_basis(a: Matrix, ncols: int) -> list[Vector]:
-    """A canonical basis of the right kernel of ``a`` (ncols columns).
-
-    Each basis vector has a 1 in one free column and the forced pivot
-    entries elsewhere; vectors are ordered by free column index.
-    """
-    if not a:
-        return [[Q(1) if i == j else Q(0) for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Q(0)] * ncols
+            v[f] = Q(1)
+            for r, p in enumerate(pivots):
+                v[p] = -m[r][f]
+            basis.append(v)
     return basis

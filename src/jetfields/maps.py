@@ -43,7 +43,7 @@ from .errors import (
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
                    _jet, _join_layers, _Layers, _lift, _limit, _linear_row, _pack, _reduce,
                    _relaxed_terms, _scaled_layers, _width)
-from .rationals import Q, RationalLike
+from .rationals import Q
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fields import Derivation
@@ -196,38 +196,6 @@ class FormalMap(JetTuple):
 
 def identity_map(n: int, order: int) -> FormalMap:
     return FormalMap(n, order, tuple(Jet.variable(n, order, i + 1) for i in range(n)))
-
-
-def linear_map(matrix: Sequence[Sequence[RationalLike]], order: int) -> FormalMap:
-    """The map x_i -> sum_j matrix[i][j] x_j (not necessarily invertible)."""
-    n = len(matrix)
-    images = []
-    for row in matrix:
-        if len(row) != n:
-            raise DimensionMismatch("linear part must be a square matrix")
-        # Jet drops the zero entries.
-        images.append(Jet(n, order, {tuple(int(k == j) for k in range(n)): v
-                                     for j, v in enumerate(row)}))
-    return FormalMap(n, order, tuple(images))
-
-
-def shear(n: int, order: int, i: int, displacement: Jet) -> FormalMap:
-    """The map sending x_i to x_i + displacement and fixing the other variables.
-
-    The displacement must have adic order >= 2 and not involve x_i; such a
-    map has Jacobian determinant exactly 1.
-    """
-    if not 1 <= i <= n:
-        raise IndexError(f"variable index {i} out of range 1..{n}")
-    if displacement.n != n or displacement.order != order:
-        raise DimensionMismatch("displacement must share the map's ring and order")
-    if displacement.m_adic_order() < 2:
-        raise ValueError("shear displacement must have adic order >= 2")
-    if any(e[i - 1] for e in displacement.terms):
-        raise ValueError(f"shear displacement must not involve x{i}")
-    images = list(identity_map(n, order).images)
-    images[i - 1] = images[i - 1] + displacement
-    return FormalMap(n, order, tuple(images))
 
 
 # -- matrix inversion over jets ---------------------------------------------------
@@ -393,23 +361,6 @@ def _check_map_ring(n: int, order: int) -> None:
         raise ValueError(f"maps need truncation order >= 1, got {order!r}")
 
 
-def random_shear(
-    n: int, order: int, seed: "int | random.Random", target: int | None = None,
-) -> FormalMap:
-    """A random shear x_i -> x_i + d; identity when n or the order leaves no room for one.
-
-    ``i`` is ``target`` when given and drawn otherwise.  The displacement d
-    sums one or two terms of degree 2..order free of x_i, each p/q times a
-    monomial with p in -2..2 nonzero and q in {1, 2}.
-    """
-    _check_map_ring(n, order)
-    rng = _as_rng(seed)
-    if n < 2 or order < 2:
-        return identity_map(n, order)
-    i = target if target is not None else rng.randint(1, n)
-    return shear(n, order, i, _rand_jet(rng, n, order, 2, rng.randint(1, 2), avoid=i - 1))
-
-
 def _divergence_free_coeffs(rng: random.Random, n: int, order: int) -> list[Jet]:
     """Coefficients of a random divergence-free field, adic order >= 2.
 
@@ -435,8 +386,9 @@ def _divergence_free_coeffs(rng: random.Random, n: int, order: int) -> list[Jet]
 def _sheared_linear_images(rng: random.Random, n: int, order: int) -> list[Jet]:
     """The images of a random invertible linear map composed with _SHEARS shears.
 
-    Shear k acts on x_i, i = k mod n + 1, with a displacement d drawn as
-    ``random_shear`` draws one.  Composing with it changes only the image
+    Shear k acts on x_i, i = k mod n + 1, with a displacement d that sums
+    one or two terms of degree 2..order free of x_i, each p/q times a
+    monomial with p in -2..2 nonzero and q in {1, 2}.  Composing with it changes only the image
     of x_i, which becomes image_i + d(images), so each shear is one
     substitution.  Shears need n >= 2 and order >= 2.
     """

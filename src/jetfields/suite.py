@@ -616,12 +616,15 @@ class SuiteConfig:
             raise ConfigError(
                 f"unknown checks {unknown}; valid ids are {', '.join(CHECK_IDS)}"
             )
-        if len(set(self.checks)) != len(self.checks):
-            raise ConfigError("duplicate check ids in configuration")
         if not self.n_list or any(type(n) is not int or n < 1 for n in self.n_list):
             raise ConfigError("n_list must be non-empty positive ints")
         if not self.order_list or any(type(o) is not int or o < 1 for o in self.order_list):
             raise ConfigError("order_list must be non-empty positive ints")
+        # A repeated value would run the same cells, with the same seeds, twice.
+        for what, values in (("check ids", self.checks), ("n", self.n_list),
+                             ("orders", self.order_list)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate {what} in configuration")
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials must be a positive int")
         if type(self.seed) is not int:
@@ -704,7 +707,11 @@ def rerun_payload(payload: Mapping) -> Outcome:
         )
     if any(x.n != n or x.order != order for xs in inputs.values() for x in xs):
         raise ConfigError(f"payload inputs must live at n = {n}, order = {order}")
-    return cd.evaluate(n, order, inputs)
+    try:
+        return cd.evaluate(n, order, inputs)
+    except JetfieldsError as exc:
+        # Inputs the check cannot take, such as a map with no inverse.
+        raise ConfigError(f"payload inputs are outside check {check}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from jetfields import Derivation, Jet, Q
+from jetfields import Derivation, Jet, JetMatrix, Q
 
 MAX_N = 3
 MAX_ORDER = 5
@@ -48,6 +48,16 @@ def derivations(draw, n_values=(1, 2, 3), order_values=(2, 3, 4)):
     order = draw(st.sampled_from(order_values))
     coeffs = tuple(draw(jets(n, order, max_terms=3)) for _ in range(n))
     return Derivation(n, order, coeffs)
+
+
+def constant_matrix(values, order: int) -> JetMatrix:
+    """The jet matrix whose entries are the constants ``values``."""
+    n = len(values)
+    return JetMatrix(tuple(tuple(Jet.constant(n, order, v) for v in row) for row in values))
+
+
+def identity_matrix(n: int, order: int) -> JetMatrix:
+    return constant_matrix([[int(i == j) for j in range(n)] for i in range(n)], order)
 
 
 def seeded_rng(salt: str) -> random.Random:

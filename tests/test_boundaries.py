@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
 
-from conftest import seeded_rng
+from conftest import constant_matrix, identity_matrix, seeded_rng
 from jetfields import (
     CHECKS,
     ConfigError,
@@ -102,8 +103,8 @@ def test_matrix_inverse_of_a_constant_matrix():
     # V = I - C^-1 M is zero, so every layer above degree 0 is empty.
     values = [[2, 1, 0], [Q(1, 3), 0, 5], [0, Q(-1, 2), 1]]
     for order in (0, 1, 3):
-        inv = check_inverse(JetMatrix.constant(values, order))
-        assert inv == JetMatrix.constant(linalg.inverse(values), order)
+        inv = check_inverse(constant_matrix(values, order))
+        assert inv == constant_matrix(linalg.inverse(values), order)
 
 
 def test_matrix_inverse_of_dense_matrices():
@@ -266,8 +267,8 @@ def test_total_cancellation_gives_the_canonical_zero():
     assert diff.terms == {}
     half = Jet(2, 3, {(1, 0): Q(1, 2), (0, 1): Q(5, 6)})
     m = JetMatrix(((half, half), (half, half)))
-    flip = JetMatrix.constant([[1, 0], [-1, 0]], 3)
-    assert m @ flip == JetMatrix.constant([[0, 0], [0, 0]], 3)
+    flip = constant_matrix([[1, 0], [-1, 0]], 3)
+    assert m @ flip == constant_matrix([[0, 0], [0, 0]], 3)
 
 
 def test_products_with_mixed_denominators_match_the_oracle():
@@ -430,7 +431,7 @@ def test_pushforward_checks_a_supplied_jacobian_inverse():
     with pytest.raises(OrderMismatch):
         pushforward(sigma, field, jinv.map_entries(lambda e: e.truncate(2)))
     with pytest.raises(DimensionMismatch):
-        pushforward(sigma, field, JetMatrix.identity(3, 3))
+        pushforward(sigma, field, identity_matrix(3, 3))
 
 
 # -- truncated Horner substitution --------------------------------------------------
@@ -624,7 +625,7 @@ def test_det_of_degenerate_matrices():
         assert twin.det() == Jet.zero(n, 2)
         hole = JetMatrix(tuple([tuple(Jet.zero(n, 2) for _ in range(n))] + rows[1:]))
         assert hole.det() == Jet.zero(n, 2)
-        assert JetMatrix.identity(n, 0).det() == Jet.constant(n, 0, 1)
+        assert identity_matrix(n, 0).det() == Jet.constant(n, 0, 1)
 
 
 # -- errors of the value types ---------------------------------------------------------
@@ -639,6 +640,19 @@ def _var(n: int, order: int, i: int) -> Jet:
 
 def _coords(cls, n: int, order: int):
     return cls(n, order, tuple(_var(n, order, i) for i in range(1, n + 1)))
+
+
+def _term_jet(field: str, value) -> dict:
+    """The payload of x1 at order 2 with its term's ``field`` set to ``value``."""
+    return {"n": 1, "order": 2, "terms": [{"exp": [1], "num": "1", "den": "1", field: value}]}
+
+
+def _term_payload(field: str, value) -> dict:
+    """A C1 payload whose first map's first term has ``field`` set to ``value``."""
+    inputs = CHECKS["C1"].generate(seeded_rng("term payload"), 1, 3)
+    payload = {"check": "C1", "n": 1, "order": 3, **_serialize_inputs(inputs)}
+    payload["maps"][0]["images"][0]["terms"][0][field] = value
+    return payload
 
 
 VALUE_TYPE_ERRORS = [
@@ -689,6 +703,28 @@ VALUE_TYPE_ERRORS = [
     (lambda: FormalMap.from_dict({"n": 1, "order": 1}), KeyError, "'images'"),
     (lambda: Derivation.from_dict({"n": 1, "order": 1, "images": []}),
      KeyError, "'coefficients'"),
+    # A term's num and den are decimal strings or ints, never read by a bare
+    # int(): that raised OverflowError on infinity and truncated 1.5 and true.
+    (lambda: Jet.from_dict(_term_jet("den", math.inf)),
+     ValueError, "jet term den must be a decimal integer string, got inf"),
+    (lambda: Jet.from_dict(_term_jet("den", math.nan)),
+     ValueError, "jet term den must be a decimal integer string, got nan"),
+    (lambda: Jet.from_dict(_term_jet("num", 1.5)),
+     ValueError, "jet term num must be a decimal integer string, got 1.5"),
+    (lambda: Jet.from_dict(_term_jet("num", True)),
+     ValueError, "jet term num must be a decimal integer string, got True"),
+    (lambda: rerun_payload(_term_payload("den", math.inf)),
+     ConfigError, "payload inputs do not decode: "
+     "ValueError('jet term den must be a decimal integer string, got inf')"),
+    (lambda: rerun_payload(_term_payload("num", 1.5)),
+     ConfigError, "payload inputs do not decode: "
+     "ValueError('jet term num must be a decimal integer string, got 1.5')"),
+    # A map that decodes but has no inverse, which C4 needs: SingularMatrix
+    # escaped rerun_payload before.
+    (lambda: rerun_payload({"check": "C4", "n": 2, "order": 3, "maps": [
+        FormalMap(2, 3, (_var(2, 3, 1), _var(2, 3, 1))).to_dict()]}),
+     ConfigError, "payload inputs are outside check C4: "
+     "matrix is singular (rank deficiency at column 1)"),
 ]
 
 

@@ -250,6 +250,11 @@ def test_verify_rejects_bad_config(capsys):
     code, _, err = run(capsys, "verify", "--checks", "C4", "--order-list", "2")
     assert code == 2
     assert "order >= 3" in err
+    # A repeated n or order would run the same cell, with the same seeds, twice.
+    code, out, err = run(capsys, "verify", "--checks", "C1", "--n-list", "1,1",
+                         "--order-list", "3,3", "--trials", "1")
+    assert code == 2 and out == ""
+    assert "duplicate n in configuration" in err
 
 
 def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):

@@ -20,12 +20,12 @@ from jetfields import (
     decompose_const_div,
     euler_field,
     matrix_inverse,
+    parse_field,
     partial_field,
     pushforward,
     random_automorphism,
     random_divergence_free,
     random_field,
-    zero_field,
 )
 
 
@@ -85,7 +85,7 @@ def test_bracket_antisymmetric_and_bilinear():
         d = random_field(n, order, rng)
         e = random_field(n, order, rng)
         g = random_field(n, order, rng)
-        assert d.bracket(e) == -(e.bracket(d))
+        assert d.bracket(e) == e.bracket(d) * -1
         assert d.bracket(d).is_zero
         assert (d + g).bracket(e) == d.bracket(e) + g.bracket(e)
         assert (d * Q(3, 2)).bracket(e) == d.bracket(e) * Q(3, 2)
@@ -206,14 +206,14 @@ def test_classify_divergence_kinds():
     assert zero.kind == "zero" and zero.value == 0 and zero.is_constant
     const = classify_divergence(euler_field(n, order, 1) * 2)
     assert const.kind == "constant" and const.value == 2
-    assert const.verdict_order == order - 1 and not const.weak
+    assert const.verdict_order == order - 1
     bent = classify_divergence(
         Derivation(2, 4, (Jet(2, 4, {(2, 0): 1}), Jet.zero(2, 4)))
     )
     assert bent.kind == "nonconstant" and bent.value is None
     assert not bent.is_constant
-    weak = classify_divergence(partial_field(2, 1, 1))
-    assert weak.weak
+    # A field of order 1 has its divergence, and so its verdict, at order 0.
+    assert classify_divergence(partial_field(2, 1, 1)).verdict_order == 0
 
 
 def test_decompose_const_div():
@@ -279,13 +279,13 @@ def test_field_validation_and_serialization():
     for n, order in GRID:
         d = random_field(n, order, rng)
         assert Derivation.from_dict(d.to_dict()) == d
-    assert str(zero_field(2, 3)) == "0"
+    assert str(parse_field("0", 2, 3)) == "0"
 
 
 def test_field_equality_discipline():
     from jetfields import OrderMismatch
 
     with pytest.raises(OrderMismatch):
-        zero_field(2, 3) == zero_field(2, 4)
-    assert zero_field(2, 4).truncate(3) == zero_field(2, 3)
+        parse_field("0", 2, 3) == parse_field("0", 2, 4)
+    assert parse_field("0", 2, 4).truncate(3) == parse_field("0", 2, 3)
     assert euler_field(2, 4, 1).equal_at(euler_field(2, 3, 1), 3)

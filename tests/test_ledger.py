@@ -103,8 +103,7 @@ def pushforward_case(rng, orders):
     n, (p, r) = shape(rng, 2, (0, *orders))
     p = max(p, 2)  # pushforward claims nothing along a map of order 1
     sigma = random_automorphism(n, p, rng.randrange(10 ** 6))
-    field = Derivation(n, r, tuple(Jet(n, r, terms(rng, n, 0, r, 2)) for _ in range(n)))
-    return (sigma, field), pushforward, min(r, p - 1)
+    return (sigma, dense_field(rng, n, r)), pushforward, min(r, p - 1)
 
 
 def linear(rng: random.Random, n: int) -> dict:
@@ -114,7 +113,7 @@ def linear(rng: random.Random, n: int) -> dict:
 
 def dense_field(rng: random.Random, n: int, order: int) -> Derivation:
     # A nonzero constant in every coefficient, so that a lift of the other
-    # operand's top degree reaches the claim + 1, as in the two cases below.
+    # operand's top degree reaches the claim + 1 in each case that uses it.
     return Derivation(n, order, tuple(
         Jet(n, order, {**terms(rng, n, 1, order, 3), (0,) * n: Q(rng.randint(1, 3))})
         for _ in range(n)))

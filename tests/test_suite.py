@@ -110,8 +110,10 @@ def test_config_validation():
         SuiteConfig(checks=("C1", "C1")),
         SuiteConfig(n_list=()),
         SuiteConfig(n_list=(0,)),
+        SuiteConfig(n_list=(1, 2, 1)),
         SuiteConfig(order_list=()),
         SuiteConfig(order_list=(3, 0)),
+        SuiteConfig(order_list=(3, 3)),
         SuiteConfig(trials=0),
         SuiteConfig(seed="0"),
         SuiteConfig(checks=("C4",), order_list=(2, 3)),

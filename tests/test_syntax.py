@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import derivations, jets, seeded_rng
+from conftest import derivations, identity_matrix, jets, seeded_rng
 from jetfields import (
     Derivation,
     FormalMap,
     Jet,
     ParseError,
-    grlex_key,
     parse_field,
     parse_map,
     parse_series,
@@ -209,21 +208,27 @@ def test_trailing_input_rejected():
 
 
 def test_format_matrix():
-    from jetfields import JetMatrix
-
-    m = JetMatrix.identity(2, 2)
-    assert str(m) == "[[1, 0], [0, 1]]"
+    assert str(identity_matrix(2, 2)) == "[[1, 0], [0, 1]]"
 
 
 # -- the text boundary against a naive reference ------------------------------------
 #
-# str, to_dict and iteration walk the integer form in packed-key order; the
-# reference reads the rational ``terms`` and sorts them by ``grlex_key``.
+# str and to_dict walk the integer form in packed-key order; the reference
+# reads the rational ``terms`` and sorts them by ``_grlex_key``.
+
+
+def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Sort key for the canonical term order.
+
+    Ascending total degree; within a degree, higher powers of earlier
+    variables come first (x1^2 before x1*x2 before x2^2).
+    """
+    return (sum(exps), tuple(-e for e in exps))
 
 
 def naive_str(jet: Jet) -> str:
     parts = []
-    for e in sorted(jet.terms, key=grlex_key):
+    for e in sorted(jet.terms, key=_grlex_key):
         c = Fraction(jet.terms[e])
         mag = abs(c)
         factors = [f"x{i + 1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e) if p]
@@ -277,9 +282,7 @@ def test_wide_round_trip(f):
 @given(wide_jets())
 @settings(max_examples=60, deadline=None)
 def test_to_dict_and_iteration_walk_the_canonical_order(f):
-    order = sorted(f.terms, key=grlex_key)
-    assert [e for e, _ in f] == order
-    assert [c for _, c in f] == [f.terms[e] for e in order]
+    order = sorted(f.terms, key=_grlex_key)
     assert f.to_dict()["terms"] == [
         {"exp": list(e), "num": str(f.terms[e].numerator), "den": str(f.terms[e].denominator)}
         for e in order
