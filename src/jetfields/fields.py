@@ -17,7 +17,6 @@ as a divergence-free part plus c * x1 d1, since div(x1 d1) = 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .jets import (Jet, JetMatrix, JetTuple, _add_terms, _apply_partials, _check_ring, _dot,
-                   _jet, _reduce, _width)
+                   _jet, _Record, _reduce, _setters, _width)
 from .maps import (
     FormalMap,
     _as_rng,
@@ -38,18 +37,17 @@ from .maps import (
 from .rationals import Q, as_rational
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Derivation(JetTuple):
     """A formal vector field sum_i coefficients[i] * d/dx_i."""
 
-    coefficients: tuple[Jet, ...]
+    __slots__ = ("coefficients",)
 
     _items, _label, _kind = "coefficients", "coefficient {}", "fields"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ValueError(f"field order must be a non-negative int, got {self.order!r}")
-        super().__post_init__()
+    def __init__(self, n: int, order: int, coefficients: tuple[Jet, ...]) -> None:
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"field order must be a non-negative int, got {order!r}")
+        self._fill(n, order, coefficients, _set_coefficients)
 
     @property
     def is_zero(self) -> bool:
@@ -138,6 +136,9 @@ class Derivation(JetTuple):
         return " + ".join(parts) if parts else "0"
 
 
+(_set_coefficients,) = _setters(Derivation)
+
+
 # -- standard fields -----------------------------------------------------------------
 
 
@@ -222,21 +223,27 @@ def coordinate_frame(sigma: FormalMap) -> tuple[Derivation, ...]:
 # -- divergence classification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivergenceClass:
+class DivergenceClass(_Record):
     """Verdict of ``classify_divergence`` at a stated order.
 
     ``kind`` is "zero", "constant", or "nonconstant"; ``value`` is the
     constant (0 for kind "zero", None for "nonconstant").
     """
 
-    kind: str
-    value: Optional["Q"]
-    verdict_order: int
+    __slots__ = ("kind", "value", "verdict_order")
+
+    def __init__(self, kind: str, value: Optional["Q"], verdict_order: int) -> None:
+        set_kind, set_value, set_verdict_order = _DIVERGENCE_CLASS_SETTERS
+        set_kind(self, kind)
+        set_value(self, value)
+        set_verdict_order(self, verdict_order)
 
     @property
     def is_constant(self) -> bool:
         return self.kind in ("zero", "constant")
+
+
+_DIVERGENCE_CLASS_SETTERS = _setters(DivergenceClass)
 
 
 def classify_divergence(field: Derivation) -> DivergenceClass:

@@ -38,7 +38,6 @@ tuples indexed from 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
@@ -557,10 +556,59 @@ def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet
     return _jet(n, order, num, den, _width(order))
 
 
+# -- frozen values ---------------------------------------------------------------
+#
+# Jets, their matrices and tuples, and the suite's records are slotted
+# classes whose constructors fill each slot through its setter, bound once
+# at import, so building one makes no ``__setattr__`` lookups.  Setting or
+# deleting an attribute afterwards raises ``AttributeError``;
+# ``object.__setattr__`` still reaches a slot, for code that patches one on
+# purpose.  Each class pickles and copies through its constructor.
+
+
+class _Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class _Record(_Frozen):
+    """A frozen record, compared, hashed, shown and pickled by its slots in order."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _setters(cls: type) -> tuple:
+    """The bound setters of the slots ``cls`` declares, in ``__slots__`` order."""
+    return tuple([getattr(cls, slot).__set__ for slot in cls.__slots__])
+
+
 # -- jets ---------------------------------------------------------------------
 
 
-class Jet:
+class Jet(_Frozen):
     """A power series in n variables, exact through total degree ``order``."""
 
     __slots__ = ("n", "order", "_w", "_num", "_den")
@@ -590,9 +638,6 @@ class Jet:
         _set_w(self, w)
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"jets are immutable; cannot set {name!r}")
 
     def __reduce__(self):
         return _jet, (self.n, self.order, self._num, self._den, self._w)
@@ -915,25 +960,20 @@ class Jet:
         return f"<Jet n={self.n} order={self.order}: {self}>"
 
 
-# Slot setters bound once, so building a jet makes no ``__setattr__`` lookups
-# (``Jet.__setattr__`` raises, to keep jets immutable).
 _new = object.__new__
-_set_n, _set_order, _set_w, _set_num, _set_den = (
-    getattr(Jet, slot).__set__ for slot in Jet.__slots__
-)
+_set_n, _set_order, _set_w, _set_num, _set_den = _setters(Jet)
 
 
 # -- matrices of jets ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class JetMatrix:
+class JetMatrix(_Frozen):
     """A square matrix of jets sharing one ring and one truncation order."""
 
-    rows: tuple[tuple[Jet, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+    def __init__(self, rows: tuple[tuple[Jet, ...], ...]) -> None:
+        rows = tuple(tuple(row) for row in rows)
         m = len(rows)
         if m == 0 or any(len(row) != m for row in rows):
             raise ValueError("jet matrices must be square and non-empty")
@@ -949,7 +989,10 @@ class JetMatrix:
                     )
                 if entry.order != first.order:
                     raise OrderMismatch("matrix entries must share one truncation order")
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
+
+    def __reduce__(self):
+        return JetMatrix, (self.rows,)
 
     @property
     def n(self) -> int:
@@ -1034,46 +1077,52 @@ class JetMatrix:
         return f"<JetMatrix {self.n}x{self.n} order={self.order}: {self}>"
 
 
+(_set_rows,) = _setters(JetMatrix)
+
+
 # -- tuples of jets -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class JetTuple:
+class JetTuple(_Frozen):
     """n jets in n variables at one truncation order: the base of formal
     maps, whose jets are their images, and of fields, their coefficients.
 
-    A subclass declares its tuple of jets as a third dataclass field, named
-    by ``_items``, and checks its own order floor in ``__post_init__``
-    before calling this one, which checks the ring (``n`` and ``order`` as
-    ``Jet`` does) before any jet.  ``_label`` names jet k (1-based) in
-    messages and ``_kind`` names the values in plural; ``_check_jet`` is a
-    hook for a subclass's own per-jet check, run after the shared ones on
-    each jet.
+    A subclass declares its tuple of jets as its one slot, named by
+    ``_items``.  Its constructor checks its own order floor and then calls
+    ``_fill`` with the setter of that slot; ``_fill`` checks the ring
+    (``n`` and ``order`` as ``Jet`` does) before any jet.  ``_label`` names
+    jet k (1-based) in messages and ``_kind`` names the values in plural;
+    ``_check_jet`` is a hook for a subclass's own per-jet check, run after
+    the shared ones on each jet.
     """
 
-    n: int
-    order: int
+    __slots__ = ("n", "order")
 
     _items = _label = _kind = ""
 
-    def __post_init__(self) -> None:
-        _check_ring(self.n, self.order)
-        jets = tuple(getattr(self, self._items))
-        if len(jets) != self.n:
-            raise DimensionMismatch(f"expected {self.n} {self._items}, got {len(jets)}")
+    def _fill(self, n: int, order: int, jets, set_jets) -> None:
+        _check_ring(n, order)
+        jets = tuple(jets)
+        if len(jets) != n:
+            raise DimensionMismatch(f"expected {n} {self._items}, got {len(jets)}")
         for k, jet in enumerate(jets, start=1):
             if not isinstance(jet, Jet):
                 raise TypeError(f"{self._label.format(k)} must be a Jet, got {jet!r}")
-            if jet.n != self.n:
+            if jet.n != n:
                 raise DimensionMismatch(
-                    f"{self._label.format(k)} lives in {jet.n} variables, expected {self.n}"
+                    f"{self._label.format(k)} lives in {jet.n} variables, expected {n}"
                 )
-            if jet.order != self.order:
+            if jet.order != order:
                 raise OrderMismatch(
-                    f"{self._label.format(k)} has order {jet.order}, expected {self.order}"
+                    f"{self._label.format(k)} has order {jet.order}, expected {order}"
                 )
             self._check_jet(k, jet)
-        object.__setattr__(self, self._items, jets)
+        _set_tuple_n(self, n)
+        _set_tuple_order(self, order)
+        set_jets(self, jets)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.order, self._jets)
 
     def _check_jet(self, k: int, jet: Jet) -> None:
         pass
@@ -1116,3 +1165,6 @@ class JetTuple:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} n={self.n} order={self.order}: {self}>"
+
+
+_set_tuple_n, _set_tuple_order = _setters(JetTuple)

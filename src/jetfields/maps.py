@@ -28,7 +28,6 @@ target order is exact there).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
                    _jet, _join_layers, _Layers, _lift, _limit, _linear_row, _pack, _reduce,
-                   _relaxed_terms, _scaled_layers, _width)
+                   _relaxed_terms, _scaled_layers, _setters, _width)
 from .rationals import Q
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,18 +50,17 @@ if TYPE_CHECKING:  # pragma: no cover
 LinearPart = list[list["Q"]]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FormalMap(JetTuple):
     """A continuous endomorphism of the truncated series ring."""
 
-    images: tuple[Jet, ...]
+    __slots__ = ("images",)
 
     _items, _label, _kind = "images", "image of x{}", "maps"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError(f"maps need truncation order >= 1, got {self.order!r}")
-        super().__post_init__()
+    def __init__(self, n: int, order: int, images: tuple[Jet, ...]) -> None:
+        if not isinstance(order, int) or order < 1:
+            raise ValueError(f"maps need truncation order >= 1, got {order!r}")
+        self._fill(n, order, images, _set_images)
 
     def _check_jet(self, k: int, img: Jet) -> None:
         if img.constant_term:
@@ -189,6 +187,9 @@ class FormalMap(JetTuple):
 
     def __str__(self) -> str:
         return "; ".join(f"x{i + 1} -> {img}" for i, img in enumerate(self.images))
+
+
+(_set_images,) = _setters(FormalMap)
 
 
 # -- constructors ---------------------------------------------------------------

@@ -28,7 +28,6 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from . import linalg
@@ -44,7 +43,7 @@ from .fields import (
     random_divergence_free,
     random_field,
 )
-from .jets import Jet, _check_ring
+from .jets import Jet, _check_ring, _Record, _setters
 from .maps import (
     FormalMap,
     _rand_monomial,
@@ -58,61 +57,93 @@ from .rationals import Q
 Inputs = Mapping[str, tuple]
 
 
-@dataclass(frozen=True)
-class Outcome:
-    passed: bool
-    verdict_order: int
-    detail: str = ""
+class Outcome(_Record):
+    __slots__ = ("passed", "verdict_order", "detail")
+
+    def __init__(self, passed: bool, verdict_order: int, detail: str = "") -> None:
+        set_passed, set_verdict_order, set_detail = _OUTCOME_SETTERS
+        set_passed(self, passed)
+        set_verdict_order(self, verdict_order)
+        set_detail(self, detail)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     """One catalog entry: an identity plus its sampler and evaluator."""
 
-    ident: str
-    name: str
-    statement: str
-    min_order: int
-    generate: Callable[[random.Random, int, int], Inputs]
-    evaluate: Callable[[int, int, Inputs], Outcome]
-    arity: tuple[int, int]  # the (maps, fields) counts ``generate`` returns
-    n_only: Optional[int] = None
-    control: Optional[Callable[[int, int], "ControlResult"]] = None
+    __slots__ = ("ident", "name", "statement", "min_order", "generate", "evaluate", "arity",
+                 "n_only", "control")
+
+    def __init__(
+        self,
+        ident: str,
+        name: str,
+        statement: str,
+        min_order: int,
+        generate: Callable[[random.Random, int, int], Inputs],
+        evaluate: Callable[[int, int, Inputs], Outcome],
+        arity: tuple[int, int],  # the (maps, fields) counts ``generate`` returns
+        n_only: Optional[int] = None,
+        control: Optional[Callable[[int, int], "ControlResult"]] = None,
+    ) -> None:
+        (set_ident, set_name, set_statement, set_min_order, set_generate, set_evaluate,
+         set_arity, set_n_only, set_control) = _IDENTITY_CHECK_SETTERS
+        set_ident(self, ident)
+        set_name(self, name)
+        set_statement(self, statement)
+        set_min_order(self, min_order)
+        set_generate(self, generate)
+        set_evaluate(self, evaluate)
+        set_arity(self, arity)
+        set_n_only(self, n_only)
+        set_control(self, control)
 
     def applicable(self, n: int) -> bool:
         return self.n_only is None or n == self.n_only
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    seed: int
-    passed: bool
-    verdict_order: int
-    ms: float
-    payload: Optional[dict] = None
+class TrialResult(_Record):
+    __slots__ = ("seed", "passed", "verdict_order", "ms", "payload")
+
+    def __init__(self, seed: int, passed: bool, verdict_order: int, ms: float,
+                 payload: Optional[dict] = None) -> None:
+        set_seed, set_passed, set_verdict_order, set_ms, set_payload = _TRIAL_RESULT_SETTERS
+        set_seed(self, seed)
+        set_passed(self, passed)
+        set_verdict_order(self, verdict_order)
+        set_ms(self, ms)
+        set_payload(self, payload)
 
 
-@dataclass(frozen=True)
-class ControlResult:
-    kind: str
-    expected_fail: bool
-    failed: bool
-    verdict_order: int
-    ms: float
-    witness: Optional[dict] = None
+class ControlResult(_Record):
+    __slots__ = ("kind", "expected_fail", "failed", "verdict_order", "ms", "witness")
+
+    def __init__(self, kind: str, expected_fail: bool, failed: bool, verdict_order: int,
+                 ms: float, witness: Optional[dict] = None) -> None:
+        (set_kind, set_expected_fail, set_failed, set_verdict_order, set_ms,
+         set_witness) = _CONTROL_RESULT_SETTERS
+        set_kind(self, kind)
+        set_expected_fail(self, expected_fail)
+        set_failed(self, failed)
+        set_verdict_order(self, verdict_order)
+        set_ms(self, ms)
+        set_witness(self, witness)
 
     @property
     def ok(self) -> bool:
         return self.failed == self.expected_fail
 
 
-@dataclass(frozen=True)
-class CellResult:
-    check: str
-    n: int
-    order: int
-    trials: tuple[TrialResult, ...]
-    controls: tuple[ControlResult, ...] = ()
+class CellResult(_Record):
+    __slots__ = ("check", "n", "order", "trials", "controls")
+
+    def __init__(self, check: str, n: int, order: int, trials: tuple[TrialResult, ...],
+                 controls: tuple[ControlResult, ...] = ()) -> None:
+        set_check, set_n, set_order, set_trials, set_controls = _CELL_RESULT_SETTERS
+        set_check(self, check)
+        set_n(self, n)
+        set_order(self, order)
+        set_trials(self, trials)
+        set_controls(self, controls)
 
     @property
     def failed_trials(self) -> int:
@@ -121,6 +152,13 @@ class CellResult:
     @property
     def unexpected(self) -> int:
         return self.failed_trials + sum(1 for c in self.controls if not c.ok)
+
+
+_OUTCOME_SETTERS = _setters(Outcome)
+_IDENTITY_CHECK_SETTERS = _setters(IdentityCheck)
+_TRIAL_RESULT_SETTERS = _setters(TrialResult)
+_CONTROL_RESULT_SETTERS = _setters(ControlResult)
+_CELL_RESULT_SETTERS = _setters(CellResult)
 
 
 # -- generators ------------------------------------------------------------------
@@ -546,6 +584,16 @@ MAX_DET_VARS = 8
 _DET_CHECKS = ("C2", "C3", "C5")
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in where it holds an int past the
+    interpreter's digit limit, so that the message of a refusal can always
+    be built."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _cost_guard(what: str, n: int, order: int, det: bool) -> None:
     """``ConfigError`` if jets at (n, order) are too costly, or if ``det``
     and Jacobian determinants in n variables are.
@@ -557,7 +605,7 @@ def _cost_guard(what: str, n: int, order: int, det: bool) -> None:
     # first test keeps the binomial small.
     if max(n, order) >= MAX_RING_SIZE or math.comb(n + order, n) > MAX_RING_SIZE:
         raise ConfigError(
-            f"{what} at n={n}, order={order} is too costly: its jets have "
+            f"{what} at n={_shown(n)}, order={_shown(order)} is too costly: its jets have "
             f"more than {MAX_RING_SIZE} monomials"
         )
     if det and n > MAX_DET_VARS:
@@ -574,15 +622,17 @@ def _cell_check(check, n, order) -> IdentityCheck:
     """
     cd = CHECKS.get(check) if isinstance(check, str) else None
     if cd is None:
-        raise ConfigError(f"unknown check {check!r}; valid ids are {', '.join(CHECK_IDS)}")
+        raise ConfigError(
+            f"unknown check {_shown(check)}; valid ids are {', '.join(CHECK_IDS)}"
+        )
     if type(n) is not int or n < 1:
-        raise ConfigError(f"n must be a positive int, got {n!r}")
+        raise ConfigError(f"n must be a positive int, got {_shown(n)}")
     if type(order) is not int:
-        raise ConfigError(f"order must be an int, got {order!r}")
+        raise ConfigError(f"order must be an int, got {_shown(order)}")
     if not cd.applicable(n):
         raise ConfigError(f"check {check} only applies to n = {cd.n_only}")
     if order < cd.min_order:
-        raise ConfigError(f"check {check} needs order >= {cd.min_order}, got {order}")
+        raise ConfigError(f"check {check} needs order >= {cd.min_order}, got {_shown(order)}")
     _cost_guard(f"check {check}", n, order, det=check in _DET_CHECKS)
     if check == "C9":
         # n passed the ring ceiling, so 3**n stays small.
@@ -595,18 +645,25 @@ def _cell_check(check, n, order) -> IdentityCheck:
     return cd
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    checks: tuple[str, ...] = CHECK_IDS
-    n_list: tuple[int, ...] = (1, 2, 3)
-    order_list: tuple[int, ...] = (3, 4, 5)
-    trials: int = 100
-    seed: int = 0
+def _as_tuple(what: str, values) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ConfigError(f"{what} must be a sequence, got {type(values).__name__}") from None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "checks", tuple(self.checks))
-        object.__setattr__(self, "n_list", tuple(self.n_list))
-        object.__setattr__(self, "order_list", tuple(self.order_list))
+
+class SuiteConfig(_Record):
+    __slots__ = ("checks", "n_list", "order_list", "trials", "seed")
+
+    def __init__(self, checks: tuple[str, ...] = CHECK_IDS, n_list: tuple[int, ...] = (1, 2, 3),
+                 order_list: tuple[int, ...] = (3, 4, 5), trials: int = 100,
+                 seed: int = 0) -> None:
+        set_checks, set_n_list, set_order_list, set_trials, set_seed = _SUITE_CONFIG_SETTERS
+        set_checks(self, _as_tuple("checks", checks))
+        set_n_list(self, _as_tuple("n_list", n_list))
+        set_order_list(self, _as_tuple("order_list", order_list))
+        set_trials(self, trials)
+        set_seed(self, seed)
 
     def validate(self) -> None:
         if not self.checks:
@@ -614,7 +671,7 @@ class SuiteConfig:
         unknown = [c for c in self.checks if not isinstance(c, str) or c not in CHECKS]
         if unknown:
             raise ConfigError(
-                f"unknown checks {unknown}; valid ids are {', '.join(CHECK_IDS)}"
+                f"unknown checks {_shown(unknown)}; valid ids are {', '.join(CHECK_IDS)}"
             )
         if not self.n_list or any(type(n) is not int or n < 1 for n in self.n_list):
             raise ConfigError("n_list must be non-empty positive ints")
@@ -654,6 +711,9 @@ class SuiteConfig:
             "trials": self.trials,
             "seed": self.seed,
         }
+
+
+_SUITE_CONFIG_SETTERS = _setters(SuiteConfig)
 
 
 def trial_seed(master: int, check: str, n: int, order: int, index: int) -> int:
@@ -714,12 +774,15 @@ def rerun_payload(payload: Mapping) -> Outcome:
         raise ConfigError(f"payload inputs are outside check {check}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """All cell results for one configuration; canonically serializable."""
 
-    config: SuiteConfig
-    cells: tuple[CellResult, ...]
+    __slots__ = ("config", "cells")
+
+    def __init__(self, config: SuiteConfig, cells: tuple[CellResult, ...]) -> None:
+        set_config, set_cells = _VERIFICATION_REPORT_SETTERS
+        set_config(self, config)
+        set_cells(self, cells)
 
     @property
     def trial_count(self) -> int:
@@ -806,6 +869,9 @@ class VerificationReport:
             )
         lines.append(self.summary_line())
         return "\n".join(lines)
+
+
+_VERIFICATION_REPORT_SETTERS = _setters(VerificationReport)
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> VerificationReport:

@@ -15,6 +15,7 @@ import copy
 import itertools
 import math
 import pickle
+import sys
 
 import pytest
 
@@ -30,6 +31,7 @@ from jetfields import (
     NotContinuous,
     OrderMismatch,
     Q,
+    SuiteConfig,
     matrix_inverse,
     partial_field,
     pushforward,
@@ -634,6 +636,9 @@ def test_det_of_degenerate_matrices():
 # each row pins the exception type and text one of them raises.
 
 
+_HUGE = 10 ** (sys.get_int_max_str_digits() + 1)
+
+
 def _var(n: int, order: int, i: int) -> Jet:
     return Jet.variable(n, order, i)
 
@@ -725,6 +730,20 @@ VALUE_TYPE_ERRORS = [
         FormalMap(2, 3, (_var(2, 3, 1), _var(2, 3, 1))).to_dict()]}),
      ConfigError, "payload inputs are outside check C4: "
      "matrix is singular (rank deficiency at column 1)"),
+    # A config field that is no sequence raised tuple()'s raw TypeError.
+    (lambda: SuiteConfig(n_list=3), ConfigError, "n_list must be a sequence, got int"),
+    (lambda: SuiteConfig(checks=None), ConfigError, "checks must be a sequence, got NoneType"),
+    (lambda: SuiteConfig(order_list=5.0), ConfigError,
+     "order_list must be a sequence, got float"),
+    # An int past the digit limit raised repr()'s raw ValueError from the refusal's message.
+    (lambda: SuiteConfig(n_list=(_HUGE,)).validate(), ConfigError,
+     "check C1 at n=<int too long to print>, order=3 is too costly: "
+     "its jets have more than 1001 monomials"),
+    (lambda: SuiteConfig(checks=("C1", _HUGE)).validate(), ConfigError,
+     "unknown checks <list too long to print>; valid ids are "
+     "C1, C2, C3, C4, C5, C6, C7, C8, C9, C10"),
+    (lambda: rerun_payload({"check": "C1", "n": -_HUGE, "order": 3}), ConfigError,
+     "n must be a positive int, got <int too long to print>"),
 ]
 
 

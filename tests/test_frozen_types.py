@@ -1,0 +1,230 @@
+"""The contract of the package's frozen value and record types.
+
+``JetMatrix``, ``JetTuple`` (through ``FormalMap`` and ``Derivation``),
+``DivergenceClass`` and the suite's records are slotted classes with
+constructors written out by hand.  These tests pin what callers rely on:
+each signature and default, equality, hashing and the record repr, that no
+attribute can be set or deleted, pickling and ``deepcopy``, and that
+``object.__setattr__`` still patches a catalog entry's ``generate`` and
+``evaluate``, as the benchmark's tracer does.
+"""
+
+from __future__ import annotations
+
+import copy
+import inspect
+import pickle
+
+import pytest
+
+from jetfields import (
+    CHECK_IDS,
+    CHECKS,
+    CellResult,
+    ControlResult,
+    Derivation,
+    DivergenceClass,
+    FormalMap,
+    IdentityCheck,
+    Jet,
+    JetMatrix,
+    Outcome,
+    Q,
+    SuiteConfig,
+    TrialResult,
+    VerificationReport,
+    run_check,
+    run_suite,
+)
+from jetfields.jets import JetTuple
+
+EMPTY = inspect.Parameter.empty
+
+# (class, [(parameter, default)]) with EMPTY for a parameter with no default.
+SIGNATURES = [
+    (JetMatrix, [("rows", EMPTY)]),
+    (FormalMap, [("n", EMPTY), ("order", EMPTY), ("images", EMPTY)]),
+    (Derivation, [("n", EMPTY), ("order", EMPTY), ("coefficients", EMPTY)]),
+    (DivergenceClass, [("kind", EMPTY), ("value", EMPTY), ("verdict_order", EMPTY)]),
+    (Outcome, [("passed", EMPTY), ("verdict_order", EMPTY), ("detail", "")]),
+    (IdentityCheck, [("ident", EMPTY), ("name", EMPTY), ("statement", EMPTY),
+                     ("min_order", EMPTY), ("generate", EMPTY), ("evaluate", EMPTY),
+                     ("arity", EMPTY), ("n_only", None), ("control", None)]),
+    (TrialResult, [("seed", EMPTY), ("passed", EMPTY), ("verdict_order", EMPTY),
+                   ("ms", EMPTY), ("payload", None)]),
+    (ControlResult, [("kind", EMPTY), ("expected_fail", EMPTY), ("failed", EMPTY),
+                     ("verdict_order", EMPTY), ("ms", EMPTY), ("witness", None)]),
+    (CellResult, [("check", EMPTY), ("n", EMPTY), ("order", EMPTY), ("trials", EMPTY),
+                  ("controls", ())]),
+    (SuiteConfig, [("checks", CHECK_IDS), ("n_list", (1, 2, 3)), ("order_list", (3, 4, 5)),
+                   ("trials", 100), ("seed", 0)]),
+    (VerificationReport, [("config", EMPTY), ("cells", EMPTY)]),
+]
+
+REPORT = run_suite(SuiteConfig(checks=("C5",), n_list=(2,), order_list=(3,), trials=1, seed=4))
+CELL = REPORT.cells[0]
+
+
+def _coords(cls, n: int = 2, order: int = 3):
+    return cls(n, order, tuple(Jet.variable(n, order, i) for i in range(1, n + 1)))
+
+
+def _matrix(order: int = 3) -> JetMatrix:
+    return JetMatrix(((Jet.constant(2, order, 1), Jet.variable(2, order, 1)),
+                      (Jet.zero(2, order), Jet.constant(2, order, Q(1, 2)))))
+
+
+# One instance of each record, built positionally, and the keyword
+# arguments that build an equal one.
+RECORDS = [
+    (DivergenceClass("constant", Q(3, 2), 4),
+     dict(kind="constant", value=Q(3, 2), verdict_order=4)),
+    (Outcome(False, 2, "lhs != rhs"), dict(passed=False, verdict_order=2, detail="lhs != rhs")),
+    (CHECKS["C5"], {name: getattr(CHECKS["C5"], name) for name in IdentityCheck.__slots__}),
+    (CELL.trials[0], {name: getattr(CELL.trials[0], name) for name in TrialResult.__slots__}),
+    (CELL.controls[0], {name: getattr(CELL.controls[0], name)
+                        for name in ControlResult.__slots__}),
+    (CELL, dict(check="C5", n=2, order=3, trials=CELL.trials, controls=CELL.controls)),
+    (SuiteConfig(("C1", "C2"), (2,), (3, 4), 5, 6),
+     dict(checks=("C1", "C2"), n_list=(2,), order_list=(3, 4), trials=5, seed=6)),
+    (REPORT, dict(config=REPORT.config, cells=REPORT.cells)),
+]
+VALUES = [_matrix(), _coords(FormalMap), _coords(Derivation)]
+ALL = [value for value, _ in RECORDS] + VALUES
+
+
+def _ids(values):
+    return [type(v).__name__ for v in values]
+
+
+@pytest.mark.parametrize("cls, params", SIGNATURES, ids=[c.__name__ for c, _ in SIGNATURES])
+def test_signatures_and_defaults(cls, params):
+    signature = inspect.signature(cls)
+    assert [(p.name, p.default) for p in signature.parameters.values()] == params
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+
+
+def test_the_jet_tuples_share_one_base():
+    assert issubclass(FormalMap, JetTuple) and issubclass(Derivation, JetTuple)
+    assert JetTuple.__slots__ == ("n", "order")
+
+
+def test_defaults_fill_the_records():
+    assert Outcome(True, 3).detail == ""
+    cd = CHECKS["C1"]
+    assert IdentityCheck(cd.ident, cd.name, cd.statement, cd.min_order, cd.generate,
+                         cd.evaluate, cd.arity) == cd
+    assert TrialResult(1, True, 3, 0.5).payload is None
+    assert ControlResult("k", True, True, 3, 0.5).witness is None
+    assert CellResult("C1", 2, 3, ()).controls == ()
+    assert SuiteConfig() == SuiteConfig(CHECK_IDS, (1, 2, 3), (3, 4, 5), 100, 0)
+    # Sequences are stored as tuples, as before.
+    assert SuiteConfig(checks=["C1"], n_list=[2], order_list=range(3, 5)).to_dict() == {
+        "checks": ["C1"], "n_list": [2], "order_list": [3, 4], "trials": 100, "seed": 0}
+    assert SuiteConfig(checks=["C1"]).checks == ("C1",)
+
+
+@pytest.mark.parametrize("value, kwargs", RECORDS, ids=_ids(v for v, _ in RECORDS))
+def test_records_compare_hash_and_show_by_field(value, kwargs):
+    cls = type(value)
+    again = cls(**kwargs)
+    assert again == value and not again != value
+    assert again is not value
+    assert list(kwargs) == list(cls.__slots__)
+    try:
+        expected = hash(tuple(kwargs.values()))
+    except TypeError:
+        # A record that holds a dict, such as a control's witness, is
+        # unhashable, as before.
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(again) == hash(value) == expected
+    shown = ", ".join(f"{name}={v!r}" for name, v in kwargs.items())
+    assert repr(value) == f"{cls.__name__}({shown})"
+    assert (value == object()) is False
+    first = next(iter(kwargs))
+    assert cls(**{**kwargs, first: "other"}) != value
+
+
+def test_record_hashes_and_reprs():
+    assert hash(Outcome(True, 3)) == hash((True, 3, ""))
+    assert repr(Outcome(True, 3)) == "Outcome(passed=True, verdict_order=3, detail='')"
+    assert repr(DivergenceClass("zero", Q(0), 2)) == (
+        "DivergenceClass(kind='zero', value=Fraction(0, 1), verdict_order=2)")
+    assert repr(SuiteConfig(trials=2)) == (
+        f"SuiteConfig(checks={CHECK_IDS!r}, n_list=(1, 2, 3), order_list=(3, 4, 5), "
+        "trials=2, seed=0)")
+    assert len({SuiteConfig(), SuiteConfig(), SuiteConfig(seed=1)}) == 2
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(TrialResult(1, False, 3, 0.5, {"check": "C1"}))
+    # Equal fields in records of different types are not equal records.
+    assert TrialResult(1, True, 3, 0.5) != ControlResult(1, True, 3, 0.5, None)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_ids(VALUES))
+def test_jet_values_compare_by_jets_and_are_unhashable(value):
+    cls = type(value)
+    again = (JetMatrix(value.rows) if cls is JetMatrix
+             else cls(n=value.n, order=value.order, **{cls._items: value._jets}))
+    assert again == value
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
+    assert repr(value).startswith(f"<{cls.__name__} ")
+
+
+def test_jet_values_build_by_keyword():
+    images = tuple(Jet.variable(2, 3, i) for i in (1, 2))
+    assert FormalMap(n=2, order=3, images=images) == FormalMap(2, 3, images)
+    assert Derivation(n=2, order=3, coefficients=images) == Derivation(2, 3, images)
+    assert JetMatrix(rows=_matrix().rows) == _matrix()
+    assert repr(_matrix(2)) == "<JetMatrix 2x2 order=2: [[1, x1], [0, 1/2]]>"
+
+
+@pytest.mark.parametrize("value", ALL, ids=_ids(ALL))
+def test_attributes_can_be_neither_set_nor_deleted(value):
+    names = [*type(value).__slots__, "extra"]
+    if isinstance(value, JetTuple):
+        names += JetTuple.__slots__
+    for name in names:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match="immutable; cannot set"):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError, match="immutable; cannot delete"):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+    with pytest.raises(AttributeError):
+        value.__dict__
+
+
+@pytest.mark.parametrize("value", ALL, ids=_ids(ALL))
+def test_pickle_and_deepcopy_round_trip(value):
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(again) is type(value)
+        assert again == value
+        assert repr(again) == repr(value)
+
+
+def test_object_setattr_patches_a_catalog_entry_and_puts_it_back():
+    cd = CHECKS["C1"]
+    generate, evaluate = cd.generate, cd.evaluate
+    calls = []
+
+    def traced(fn, name):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    try:
+        object.__setattr__(cd, "generate", traced(generate, "generate"))
+        object.__setattr__(cd, "evaluate", traced(evaluate, "evaluate"))
+        assert run_check("C1", 2, 3, 7).passed
+        assert calls == ["generate", "evaluate"]
+    finally:
+        object.__setattr__(cd, "generate", generate)
+        object.__setattr__(cd, "evaluate", evaluate)
+    assert cd.generate is generate and cd.evaluate is evaluate
+    assert CHECKS["C1"] is cd
+    run_check("C1", 2, 3, 7)
+    assert calls == ["generate", "evaluate"]

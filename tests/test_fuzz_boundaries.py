@@ -1,13 +1,15 @@
-"""A standing fuzz of the JSON payload boundary.
+"""A standing fuzz of the JSON payload and suite-config boundaries.
 
 A payload that ``rerun_payload`` cannot replay must be refused with a
 ``ConfigError``, never escape as a raw ``TypeError``, ``ValueError`` or
 ``OverflowError``.  Each example takes the real payload of one check and
 replaces one or two of its leaves (a scalar, or an empty list) with junk:
 bools, floats with NaN and the infinities, huge ints, digit strings past
-the interpreter's limit, and nested lists and dicts.  The profile is
-derandomised and the example counts bounded, so every run replays the same
-examples in a few seconds.
+the interpreter's limit, and nested lists and dicts.  A ``SuiteConfig``
+built from such junk, or from lists that mix junk with valid values, must
+likewise raise nothing but ``ConfigError`` when it is built and validated;
+no example runs a suite.  The profile is derandomised and the example
+counts bounded, so every run replays the same examples in a few seconds.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_rng
-from jetfields import CHECK_IDS, CHECKS, ConfigError, rerun_payload
+from jetfields import CHECK_IDS, CHECKS, ConfigError, SuiteConfig, rerun_payload
 from jetfields.suite import _serialize_inputs
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=30,
@@ -58,6 +60,9 @@ SCALARS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-3, 3),
     st.sampled_from([10 ** 40, -(10 ** 40), 2 ** 64]),
+    # Built in the draw: a strategy that held an int past the digit limit
+    # could not be shown.
+    st.sampled_from([1, -1]).map(lambda sign: sign * 10 ** (DIGITS + 1)),
     st.sampled_from(["9" * (DIGITS + 1), "-" + "1" * (DIGITS + 1)]),
     st.text(max_size=4),
 )
@@ -83,5 +88,29 @@ def mutated(draw, check: str) -> dict:
 def test_only_config_errors_escape_rerun_payload(check, data):
     try:
         rerun_payload(data.draw(mutated(check)))
+    except ConfigError:
+        pass
+
+
+def config_field(valid: st.SearchStrategy) -> st.SearchStrategy:
+    """Junk, or a short list of valid values and junk, so that examples also
+    reach the checks that run after the first bad field."""
+    return JUNK | st.lists(valid | SCALARS, max_size=3)
+
+
+CONFIGS = st.fixed_dictionaries({}, optional={
+    "checks": config_field(st.sampled_from(CHECK_IDS)),
+    "n_list": config_field(st.integers(1, 4)),
+    "order_list": config_field(st.integers(1, 6)),
+    "trials": JUNK,
+    "seed": JUNK,
+})
+
+
+@settings(FUZZ, max_examples=150)
+@given(fields=CONFIGS)
+def test_only_config_errors_escape_a_suite_config(fields):
+    try:
+        SuiteConfig(**fields).validate()
     except ConfigError:
         pass

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -13,6 +12,7 @@ from jetfields import (
     CHECK_IDS,
     CHECKS,
     ConfigError,
+    IdentityCheck,
     SuiteConfig,
     negative_control_map,
     rerun_payload,
@@ -160,10 +160,11 @@ def test_single_cells_are_refused_before_any_trial(monkeypatch):
         raise AssertionError("no trial may start")
 
     for ident, n in (("C9", 6), ("C2", 20)):
-        monkeypatch.setitem(
-            suite.CHECKS, ident,
-            dataclasses.replace(CHECKS[ident], generate=no_trial, evaluate=no_trial),
-        )
+        cd = CHECKS[ident]
+        monkeypatch.setitem(suite.CHECKS, ident, IdentityCheck(
+            cd.ident, cd.name, cd.statement, cd.min_order, no_trial, no_trial, cd.arity,
+            n_only=cd.n_only, control=cd.control,
+        ))
         with pytest.raises(ConfigError, match="too costly"):
             run_check(ident, n, 2, 0)
         with pytest.raises(ConfigError, match="too costly"):
