@@ -8,12 +8,26 @@ more than ``suite.MAX_RING_SIZE`` monomials is refused, and so is
 ``jacdet`` past ``suite.MAX_DET_VARS`` variables.  ``verify`` runs the
 identity suite and exits 0 only when nothing failed unexpectedly.
 
-``main`` hands an argv that starts with a command name straight to that
-command's own parser, which is what the top-level parser does with it
-(everything after the command goes to the subparser unchanged), minus
-the top-level pass.  Any other argv, and any argv the command's parser
-leaves arguments over from, goes through the top-level parser, so
-argparse prints its own help and usage errors.
+``main`` takes one of two routes to the parsed arguments, and both give
+what the top-level parser gives:
+
+* An argv in the canonical shape ``COMMAND -n DIGITS -N DIGITS OPERAND…``,
+  the one every calculator request and README example uses, skips
+  argparse.  For that shape argparse's answer is known: ``-n`` and ``-N``
+  are exact option strings, so each takes the next argument and passes it
+  through ``int``; an operand that does not start with ``-`` (the empty
+  one included) is never read as an option; and with exactly one operand
+  for each of the command's positionals, they fill them in order.  Only
+  ASCII digit strings of at most ``_MAX_RING_DIGITS`` characters count as
+  DIGITS, so ``int`` takes each without reaching the digit limit.  What
+  else ``int`` takes (``+2``, ``2_0``, ``٢``, digits after a space) goes
+  the other route.
+* Any other argv goes through argparse.  One that starts with a command
+  name goes straight to that command's own parser, which is what the
+  top-level parser does with it (everything after the command goes to the
+  subparser unchanged), minus the top-level pass.  Any other argv, and any
+  argv the command's parser leaves arguments over from, goes through the
+  top-level parser, so argparse prints its own help and usage errors.
 
 Exit codes: 0 success, 1 unexpected verification failure, 2 usage or
 input errors.  Diagnostics go to stderr; results go to stdout.  The
@@ -122,6 +136,29 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, next(a.choices for a in parser._actions if a.nargs == argparse.PARSER)
 
 
+# Longest ring value the canonical route reads: int() of 18 digits stays
+# far below the lowest digit limit an interpreter admits (640).
+_MAX_RING_DIGITS = 18
+
+
+def _canonical(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The arguments argparse would give an argv in the canonical shape
+    ``COMMAND -n DIGITS -N DIGITS OPERAND…``, or ``None`` for any other argv.
+    """
+    spec = _COMMANDS.get(argv[0]) if len(argv) > 5 else None
+    if spec is None or argv[1] != "-n" or argv[3] != "-N":
+        return None
+    operands, texts, ring = spec[1], argv[5:], (argv[2], argv[4])
+    if len(texts) != len(operands) or any(text[:1] == "-" for text in texts):
+        return None
+    if not all(v.isascii() and v.isdigit() and len(v) <= _MAX_RING_DIGITS for v in ring):
+        return None
+    args = argparse.Namespace(command=argv[0], n=int(ring[0]), order=int(ring[1]))
+    for operand, text in zip(operands, texts):
+        setattr(args, operand.name, text)
+    return args
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -182,17 +219,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser, commands = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.parse_args(argv)  # exits with argparse's own usage error
-            args.command = argv[0]
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _canonical(argv)
+    if args is None:
+        try:
+            command = commands.get(argv[0]) if argv else None
+            if command is None:
+                args = parser.parse_args(argv)
+            else:
+                args, extra = command.parse_known_args(argv[1:])
+                if extra:
+                    parser.parse_args(argv)  # exits with argparse's own usage error
+                args.command = argv[0]
+        except SystemExit as exc:
+            return int(exc.code or 0)
     return _run(args)
 
 

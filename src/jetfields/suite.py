@@ -577,10 +577,13 @@ CHECK_IDS = tuple(CHECKS)
 # n * 2**(n - 1) - n products and keeps 2**n minors, so its cost doubles
 # with each variable.  On the same machine one C2 trial took 0.3-0.5 s at
 # (8, 4), the costliest ring admitted at n = 8, 1.0-1.2 s at (9, 4) and
-# 3.0-4.3 s at (10, 4).
+# 3.0-4.3 s at (10, 4).  ``validate`` caps a cell's trials at 100 times
+# the default: 10 000 trials of C7 at (3, 5), the costliest default cell
+# at about 12 ms a trial, take two minutes.
 MAX_RING_SIZE = 1001
 MAX_GRID_BRACKETS = 2500
 MAX_DET_VARS = 8
+MAX_TRIALS = 10_000
 _DET_CHECKS = ("C2", "C3", "C5")
 
 
@@ -684,6 +687,11 @@ class SuiteConfig(_Record):
                 raise ConfigError(f"duplicate {what} in configuration")
         if type(self.trials) is not int or self.trials < 1:
             raise ConfigError("trials must be a positive int")
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(
+                f"trials={_shown(self.trials)} is too costly: at most {MAX_TRIALS} "
+                f"trials a cell are admitted"
+            )
         if type(self.seed) is not int:
             raise ConfigError("seed must be an int")
         for ident in self.checks:

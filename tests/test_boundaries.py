@@ -744,6 +744,11 @@ VALUE_TYPE_ERRORS = [
      "C1, C2, C3, C4, C5, C6, C7, C8, C9, C10"),
     (lambda: rerun_payload({"check": "C1", "n": -_HUGE, "order": 3}), ConfigError,
      "n must be a positive int, got <int too long to print>"),
+    # trials had no ceiling, so a config could start a run that never ends.
+    (lambda: SuiteConfig(checks=("C1",), trials=10 ** 12).validate(), ConfigError,
+     "trials=1000000000000 is too costly: at most 10000 trials a cell are admitted"),
+    (lambda: SuiteConfig(trials=_HUGE).validate(), ConfigError,
+     "trials=<int too long to print> is too costly: at most 10000 trials a cell are admitted"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import fractions
 import json
 import shutil
@@ -113,9 +114,11 @@ def test_result_past_the_digit_limit_exits_2(capsys):
 
 # -- routing: main against the top-level parser ------------------------------------
 
-# main hands an argv that starts with a command name to that command's
-# parser; each argv here must give what the top-level parser gives.
-ROUTES = [
+DIGITS = sys.get_int_max_str_digits()
+
+# main reads these argv itself, without argparse: the canonical shape
+# COMMAND -n DIGITS -N DIGITS OPERAND..., with one operand per positional.
+CANONICAL = [
     ("div", "-n", "2", "-N", "4", "(x1)*d1 + (x2)*d2"),
     ("jac", "-n", "2", "-N", "4", SIGMA),
     ("jacdet", "-n", "2", "-N", "4", SIGMA),
@@ -124,12 +127,20 @@ ROUTES = [
     ("invert", "-n", "2", "-N", "4", SIGMA),
     ("bracket", "-n", "2", "-N", "4", "(x2)*d1", "(1)*d2"),
     ("flow", "-n", "1", "-N", "3", "(x1^2)*d1"),
+    ("div", "-n", "1", "-N", "3", "(x9)*d1"),
+    ("div", "-n", "0", "-N", "3", "(x1)*d1"), ("div", "-n", "1", "-N", "00", "(x1)*d1"),
+    ("div", "-n", "1", "-N", "9" * 18, "(x1)*d1"), ("div", "-n", "1", "-N", "3", ""),
+    ("push", "-n", "1", "-N", "3", "x1 -> x1", " -(1)*d1"),
+]
+# Each argv here must give what the top-level parser gives.
+ROUTES = CANONICAL + [
     ("verify", "--checks", "C1", "--n-list", "1", "--order-list", "3", "--trials", "1"),
     ("-h",), ("--help",), ("div", "-h"), ("verify", "-h"), ("div", "--he"), ("-h", "div"),
     ("frobnicate",), (), ("DIV",), ("--", "div", "-n", "1", "-N", "3", "(x1)*d1"),
     ("div",), ("div", "-n", "2", "-N", "3"), ("div", "-n", "2", "(x1)*d1"),
     ("push", "-n", "2", "-N", "4", SIGMA),
     ("div", "-n", "2", "-N", "3", "(x1)*d1", "(x2)*d2"),
+    ("bracket", "-n", "2", "-N", "4", "(x2)*d1", "(1)*d2", "(1)*d1"),
     ("div", "-n", "two", "-N", "3", "(x1)*d1"),
     ("div", "-n", "-1", "-N", "3", "(x1)*d1"),
     ("div", "-n", "1", "-N", "3", "-(x1)*d1"),
@@ -139,7 +150,20 @@ ROUTES = [
     ("div", "-n", "1", "-N", "3", "(x1)*d1", "--bogus"),
     ("verify", "--bogus"), ("verify", "--trials", "x"),
     ("div", "-n1", "-N3", "(x1)*d1"), ("div", "-N", "3", "(x1)*d1", "-n", "1"),
-    ("div", "-n", "1", "-N", "3", "(x9)*d1"),
+    # Ring values that int() takes but the canonical route leaves to argparse.
+    ("div", "-n", "+2", "-N", "3", "(x1)*d1"), ("div", "-n", " 2", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "1", "-N", "2_0", "(x1)*d1"), ("div", "-n", "\u0662", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "1", "-N", "9" * 19, "(x1)*d1"),
+    ("div", "-n", "1", "-N", "9" * (DIGITS + 1), "(x1)*d1"),
+    ("div", "-n", "\u00b2", "-N", "3", "(x1)*d1"),
+    # Operands that start with "-".
+    ("div", "-n", "1", "-N", "3", "-"), ("div", "-n", "1", "-N", "3", "--"),
+    ("div", "-n", "1", "-N", "3", "-h"), ("div", "-n", "1", "-N", "3", "-x1"),
+    ("push", "-n", "1", "-N", "3", "-n", "(1)*d1"),
+    # The flags in another order or spelling.
+    ("div", "-N", "3", "-n", "1", "(x1)*d1"), ("div", "-n2", "-N", "3", "(x1)*d1"),
+    ("div", "-n=2", "-N", "3", "(x1)*d1"), ("div", "--n", "2", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "1", "-n", "1", "(x1)*d1"),
 ]
 
 
@@ -152,9 +176,24 @@ def top_level(argv: list) -> int:
     return cli._run(args)
 
 
-@pytest.mark.parametrize("argv", ROUTES, ids=lambda argv: " ".join(argv) or "<empty>")
-def test_main_matches_the_top_level_parser(capsys, argv):
+def route_id(argv) -> str:
+    shown = [f"<{len(a)} chars>" if len(a) > 40 else a if a else '""' for a in argv]
+    return " ".join(shown) or "<empty>"
+
+
+@pytest.mark.parametrize("argv", ROUTES, ids=route_id)
+def test_main_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    parses = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
     got = run(capsys, *argv)
+    # A canonical argv is read without argparse; every other one goes through it.
+    assert (parses == []) == (argv in CANONICAL)
     code = top_level(list(argv))
     captured = capsys.readouterr()
     assert got == (code, captured.out, captured.err)
@@ -263,7 +302,9 @@ def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_suite", no_run)
     for argv in (["verify", "--n-list", "12"],
-                 ["verify", "--checks", "C9", "--n-list", "2,6", "--order-list", "2"]):
+                 ["verify", "--checks", "C9", "--n-list", "2,6", "--order-list", "2"],
+                 ["verify", "--trials", "1000000000000"],
+                 ["verify", "--checks", "C10", "--n-list", "1", "--trials", "10001"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -366,9 +407,12 @@ def test_verify_default_seed_is_zero(capsys, monkeypatch):
 # -- packaging smoke -----------------------------------------------------------------
 
 
-def test_module_invocation():
+@pytest.mark.parametrize("flags", [("-n", "2", "-N", "4"), ("-N", "4", "-n", "2")],
+                         ids=["canonical", "reordered"])
+def test_module_invocation(flags):
+    # Both routes of main read sys.argv: the canonical one and argparse's.
     proc = subprocess.run(
-        [sys.executable, "-m", "jetfields", "jacdet", "-n", "2", "-N", "4", SIGMA],
+        [sys.executable, "-m", "jetfields", "jacdet", *flags, SIGMA],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0

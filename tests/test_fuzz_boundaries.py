@@ -8,13 +8,19 @@ bools, floats with NaN and the infinities, huge ints, digit strings past
 the interpreter's limit, and nested lists and dicts.  A ``SuiteConfig``
 built from such junk, or from lists that mix junk with valid values, must
 likewise raise nothing but ``ConfigError`` when it is built and validated;
-no example runs a suite.  The profile is derandomised and the example
-counts bounded, so every run replays the same examples in a few seconds.
+no example runs a suite.  An argv of a calculator command or of ``verify``
+with tokens replaced, inserted or deleted must make ``cli.main`` exit 0, 1
+or 2, raise nothing, and print the same whether or not it takes the
+canonical route past argparse.  The profile is derandomised and the
+example counts bounded, so every run replays the same examples in a few
+seconds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import math
 import sys
 
@@ -23,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_rng
-from jetfields import CHECK_IDS, CHECKS, ConfigError, SuiteConfig, rerun_payload
+from jetfields import CHECK_IDS, CHECKS, ConfigError, SuiteConfig, cli, rerun_payload
 from jetfields.suite import _serialize_inputs
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=30,
@@ -114,3 +120,98 @@ def test_only_config_errors_escape_a_suite_config(fields):
         SuiteConfig(**fields).validate()
     except ConfigError:
         pass
+
+
+# Argv of the eight calculator commands at n = 1 and of verify, and the
+# junk their tokens are mutated with.  A ring value that int() takes is
+# small (at most 20) or refused by the ring ceiling, and run_suite is
+# stubbed, so no example starts costly work.
+ARGVS = [
+    ["div", "-n", "1", "-N", "3", "(x1)*d1"],
+    ["jac", "-n", "1", "-N", "3", "x1 -> x1 + x1^2"],
+    ["jacdet", "-n", "1", "-N", "3", "x1 -> x1 + x1^2"],
+    ["push", "-n", "1", "-N", "3", "x1 -> x1 + x1^2", "(1)*d1"],
+    ["compose", "-n", "1", "-N", "3", "x1 -> x1 + x1^2", "x1 -> 2*x1"],
+    ["invert", "-n", "1", "-N", "3", "x1 -> x1 + x1^2"],
+    ["bracket", "-n", "1", "-N", "3", "(x1)*d1", "(x1^2)*d1"],
+    ["flow", "-n", "1", "-N", "3", "(x1^2)*d1"],
+    ["verify", "--checks", "C1", "--n-list", "1", "--order-list", "3", "--trials", "1",
+     "--seed", "0", "--json"],
+]
+TOKENS = [
+    "+2", " 2", "2_0", "\u0662", "\u00b2", "0", "00", "1", "2", "3", "9" * 19,
+    "9" * (DIGITS + 1), "-", "--", "-h", "", "-(x1)*d1", "-x1", "-n", "-N", "-n2", "-n=2",
+    "(x1)*d1 + $", "x1 -> x1 ?", "(x\u0661)*d1", "(1/0)*d1", "((x1)*d1", "x1 ->",
+    "(x1)*d1\x00", "C99", "1,,2", "--trials", "1000000000000", "--checks", "--n-list",
+    "--order-list", "--seed", "--json", "verify", "div", "push", "(x1)*d1",
+    "x1 -> x1 + x1^2", "(x1^2)*d1",
+]
+MUTANTS_PER_ARGV = 400
+
+
+def mutants(argv: list, rng) -> list:
+    """``MUTANTS_PER_ARGV`` copies of ``argv``.  Every other one has one or
+    two of its values (ring values and operands of a calculator command,
+    the values of verify's options) replaced, so that many keep the shape
+    of the argv; the rest have one to three tokens replaced, inserted or
+    deleted anywhere."""
+    values = [i for i, token in enumerate(argv) if i and not token.startswith("-")]
+    out = []
+    for index in range(MUTANTS_PER_ARGV):
+        mutant = list(argv)
+        if index % 2:
+            for at in rng.sample(values, rng.randint(1, 2)):
+                mutant[at] = rng.choice(TOKENS)
+        else:
+            for _ in range(rng.randint(1, 3)):
+                edit = rng.randrange(3)
+                at = rng.randrange(len(mutant) + 1)
+                if edit == 0:
+                    mutant.insert(at, rng.choice(TOKENS))
+                elif at < len(mutant):
+                    if edit == 1:
+                        mutant[at] = rng.choice(TOKENS)
+                    else:
+                        del mutant[at]
+        out.append(mutant)
+    return out
+
+
+class _Report:
+    """Stands for the report of a suite run, which no example starts."""
+
+    unexpected_failures = 0
+
+    def table(self) -> str:
+        return "table"
+
+    def to_json(self) -> str:
+        return "{}"
+
+
+def outcome(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # reported with the argv that raised it
+            pytest.fail(f"main({argv!r}) raised {exc!r}")
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+def test_main_exits_0_1_or_2_on_mutated_argv(monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_suite", lambda config: _Report())
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    examples = mutants(argv, seeded_rng(f"cli fuzz {argv[0]}"))
+    canonical = 0
+    for mutant in examples:
+        canonical += cli._canonical(mutant) is not None
+        got = outcome(mutant)
+        assert got[0] in (0, 1, 2), mutant
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_canonical", lambda argv: None)
+            assert outcome(mutant) == got, mutant
+    # Many examples take each route, so the comparison is not vacuous.
+    if argv[0] != "verify":
+        assert len(examples) // 10 <= canonical <= len(examples) * 9 // 10, canonical
