@@ -22,12 +22,8 @@ what the top-level parser gives:
   DIGITS, so ``int`` takes each without reaching the digit limit.  What
   else ``int`` takes (``+2``, ``2_0``, ``٢``, digits after a space) goes
   the other route.
-* Any other argv goes through argparse.  One that starts with a command
-  name goes straight to that command's own parser, which is what the
-  top-level parser does with it (everything after the command goes to the
-  subparser unchanged), minus the top-level pass.  Any other argv, and any
-  argv the command's parser leaves arguments over from, goes through the
-  top-level parser, so argparse prints its own help and usage errors.
+* Any other argv goes through the top-level parser, so argparse prints
+  its own help and usage errors.
 
 Exit codes: 0 success, 1 unexpected verification failure, 2 usage or
 input errors.  Diagnostics go to stderr; results go to stdout.  The
@@ -121,9 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser of this process, built by ``build_parser`` on first use,
-    and its map from command name to subparser.
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by ``build_parser`` on first use.
 
     ``parse_args`` leaves a parser unchanged and nothing in the tree reads
     the environment (``verify`` reads ``JETFIELDS_SEED`` when it runs, help
@@ -132,8 +127,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     lazily, not at import, so that a wrapper bound to that name sees the
     call.
     """
-    parser = build_parser()
-    return parser, next(a.choices for a in parser._actions if a.nargs == argparse.PARSER)
+    return build_parser()
 
 
 # Longest ring value the canonical route reads: int() of 18 digits stays
@@ -216,20 +210,13 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = _parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = _canonical(argv)
     if args is None:
         try:
-            command = commands.get(argv[0]) if argv else None
-            if command is None:
-                args = parser.parse_args(argv)
-            else:
-                args, extra = command.parse_known_args(argv[1:])
-                if extra:
-                    parser.parse_args(argv)  # exits with argparse's own usage error
-                args.command = argv[0]
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     return _run(args)
