@@ -8,7 +8,14 @@ honestly claim.  On top of the series ring sit continuous formal maps
 fields (with bracket, divergence, and pushforward), and a seeded
 verification suite that exercises the structural identities tying them
 together.
+
+The suite's names load on first use (PEP 562): only ``verify`` and callers
+of the suite pay for compiling it, with ``hashlib`` and ``json``, so a
+calculator command and a plain ``import jetfields`` do not.  They are
+looked up in ``jetfields.suite`` on each access and never copied here.
 """
+
+import importlib
 
 from .errors import (
     ConfigError,
@@ -47,22 +54,6 @@ from .maps import (
     random_const_jacobian,
 )
 from .rationals import BACKEND, Q, as_rational
-from .suite import (
-    CHECK_IDS,
-    CHECKS,
-    CellResult,
-    ControlResult,
-    IdentityCheck,
-    Outcome,
-    SuiteConfig,
-    TrialResult,
-    VerificationReport,
-    negative_control_map,
-    rerun_payload,
-    run_check,
-    run_suite,
-    trial_seed,
-)
 from .syntax import (
     parse_field,
     parse_map,
@@ -70,6 +61,23 @@ from .syntax import (
 )
 
 __version__ = "0.1.0"
+
+_SUITE_NAMES = frozenset({
+    "CHECK_IDS", "CHECKS", "CellResult", "ControlResult", "IdentityCheck", "Outcome",
+    "SuiteConfig", "TrialResult", "VerificationReport", "negative_control_map",
+    "rerun_payload", "run_check", "run_suite", "trial_seed",
+})
+
+
+def __getattr__(name: str):
+    if name in _SUITE_NAMES:
+        return getattr(importlib.import_module(".suite", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _SUITE_NAMES)
+
 
 __all__ = [
     "BACKEND",

@@ -4,9 +4,17 @@ The calculator commands come from one table, ``_COMMANDS``.  Each takes
 the ring geometry as ``-n`` (variable count) and ``-N`` (truncation
 order), reads field / map arguments in the text syntax, and prints the
 canonical text of the result.  Before any text is parsed, a ring with
-more than ``suite.MAX_RING_SIZE`` monomials is refused, and so is
-``jacdet`` past ``suite.MAX_DET_VARS`` variables.  ``verify`` runs the
-identity suite and exits 0 only when nothing failed unexpectedly.
+more than ``jets.MAX_RING_SIZE`` monomials is refused, and so is
+``jacdet`` past ``jets.MAX_DET_VARS`` variables.  ``verify`` runs the
+identity suite and exits 0 only when nothing failed unexpectedly; it is
+the one command that imports ``suite``.
+
+Every integer the CLI reads (``-n``, ``-N``, ``--trials``, ``--seed``, the
+items of ``--n-list`` and ``--order-list``, ``JETFIELDS_SEED``) goes
+through ``_int``: ASCII digits with an optional leading ``-``, nothing
+else.  ``int`` alone would also read ``2_0`` as 20 and ``٢`` as 2, and
+skip spaces around the digits, so a mistyped value would run as another
+valid one.
 
 ``main`` takes one of two routes to the parsed arguments, and both give
 what the top-level parser gives:
@@ -15,13 +23,13 @@ what the top-level parser gives:
   the one every calculator request and README example uses, skips
   argparse.  For that shape argparse's answer is known: ``-n`` and ``-N``
   are exact option strings, so each takes the next argument and passes it
-  through ``int``; an operand that does not start with ``-`` (the empty
+  through ``_int``; an operand that does not start with ``-`` (the empty
   one included) is never read as an option; and with exactly one operand
   for each of the command's positionals, they fill them in order.  Only
   ASCII digit strings of at most ``_MAX_RING_DIGITS`` characters count as
-  DIGITS, so ``int`` takes each without reaching the digit limit.  What
-  else ``int`` takes (``+2``, ``2_0``, ``٢``, digits after a space) goes
-  the other route.
+  DIGITS, so ``int`` takes each without reaching the digit limit.  Any
+  other ring value (``-1``, ``+2``, ``2_0``, ``٢``, digits after a space)
+  goes the other route.
 * Any other argv goes through the top-level parser, so argparse prints
   its own help and usage errors.
 
@@ -41,8 +49,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import JetfieldsError
 from .fields import pushforward
+from .jets import _cost_guard
 from .maps import exp_flow
-from .suite import CHECK_IDS, SuiteConfig, _cost_guard, run_suite
 from .syntax import parse_field, parse_map
 
 SEED_ENV_VAR = "JETFIELDS_SEED"
@@ -82,6 +90,18 @@ _COMMANDS = {
 }
 
 
+def _int(text: str) -> int:
+    """``text`` as an int if it is ASCII digits with an optional leading
+    ``-``; otherwise ``ArgumentTypeError``, with the message argparse gives
+    for ``type=int``."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetfields",
@@ -92,23 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (text, operands, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
-        sp.add_argument("-n", type=int, required=True, metavar="VARS",
+        sp.add_argument("-n", type=_int, required=True, metavar="VARS",
                         help="number of variables")
-        sp.add_argument("-N", dest="order", type=int, required=True, metavar="ORDER",
+        sp.add_argument("-N", dest="order", type=_int, required=True, metavar="ORDER",
                         help="truncation order")
         for operand in operands:
             sp.add_argument(operand.name, help=operand.help)
 
     sp = sub.add_parser("verify", help="run the identity verification suite")
-    sp.add_argument("--checks", default=",".join(CHECK_IDS),
+    sp.add_argument("--checks", default=None,
                     help="comma-separated check ids (default: all)")
     sp.add_argument("--n-list", default="1,2,3",
                     help="comma-separated variable counts (default: 1,2,3)")
     sp.add_argument("--order-list", default="3,4,5",
                     help="comma-separated truncation orders (default: 3,4,5)")
-    sp.add_argument("--trials", type=int, default=100,
+    sp.add_argument("--trials", type=_int, default=100,
                     help="trials per cell (default: 100)")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_int, default=None,
                     help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sp.add_argument("--json", action="store_true",
                     help="emit the full report as JSON instead of a table")
@@ -155,30 +175,35 @@ def _canonical(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
+        return tuple(_int(part.strip()) for part in text.split(",") if part.strip())
+    except argparse.ArgumentTypeError:
         raise JetfieldsError(f"{what} must be a comma-separated list of integers") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # The suite, with hashlib and json, loads only for the command that runs it.
+    from . import suite
+
     seed = args.seed
     if seed is None:
         raw = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            seed = int(raw)
-        except ValueError:
+            seed = _int(raw)
+        except argparse.ArgumentTypeError:
             raise JetfieldsError(
                 f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
             ) from None
-    config = SuiteConfig(
-        checks=tuple(c.strip() for c in args.checks.split(",") if c.strip()),
+    checks = suite.CHECK_IDS if args.checks is None else tuple(
+        c.strip() for c in args.checks.split(",") if c.strip())
+    config = suite.SuiteConfig(
+        checks=checks,
         n_list=_parse_int_list(args.n_list, "--n-list"),
         order_list=_parse_int_list(args.order_list, "--order-list"),
         trials=args.trials,
         seed=seed,
     )
     config.validate()
-    report = run_suite(config)
+    report = suite.run_suite(config)
     if args.json:
         print(report.to_json())
     else:

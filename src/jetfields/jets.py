@@ -42,6 +42,7 @@ from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     NotAUnit,
     NotContinuous,
@@ -455,6 +456,52 @@ def _check_ring(n: int, order: int) -> None:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
     if type(order) is not int or order < 0:
         raise ValueError(f"truncation order must be a non-negative int, got {order!r}")
+
+
+# Cost ceilings, checked by ``_cost_guard`` for each suite cell before any
+# of its trials runs and for each calculator request before its text is
+# parsed.  A jet of order k in n variables has C(n + k, n) monomials; a
+# product of two dense ones took 4.6 ms at the stretch point
+# (n = 4, order 8: 495 monomials) and 11 ms at (4, 10), the largest ring
+# admitted, on a 2-vCPU Xeon under Python 3.11, and a trial runs hundreds
+# of products.  Jacobian determinants are costlier: ``JetMatrix.det`` makes
+# n * 2**(n - 1) - n products and keeps 2**n minors, so its cost doubles
+# with each variable.  On the same machine one C2 trial took 0.3-0.5 s at
+# (8, 4), the costliest ring admitted at n = 8, 1.0-1.2 s at (9, 4) and
+# 3.0-4.3 s at (10, 4).
+MAX_RING_SIZE = 1001
+MAX_DET_VARS = 8
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in where it holds an int past the
+    interpreter's digit limit, so that the message of a refusal can always
+    be built."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _cost_guard(what: str, n: int, order: int, det: bool) -> None:
+    """``ConfigError`` if jets at (n, order) are too costly, or if ``det``
+    and Jacobian determinants in n variables are.
+
+    A pair that is no ring raises ``_check_ring``'s ``ValueError`` first.
+    """
+    _check_ring(n, order)
+    # C(n + order, n) > max(n, order) for positive n and order, so the
+    # first test keeps the binomial small.
+    if max(n, order) >= MAX_RING_SIZE or math.comb(n + order, n) > MAX_RING_SIZE:
+        raise ConfigError(
+            f"{what} at n={_shown(n)}, order={_shown(order)} is too costly: its jets have "
+            f"more than {MAX_RING_SIZE} monomials"
+        )
+    if det and n > MAX_DET_VARS:
+        raise ConfigError(
+            f"{what} at n={n} is too costly: Jacobian determinants are "
+            f"admitted up to n = {MAX_DET_VARS}"
+        )
 
 
 def _term_int(item: Mapping, field: str) -> int:

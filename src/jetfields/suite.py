@@ -25,7 +25,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import random
 import time
 from typing import Callable, Mapping, Optional
@@ -43,7 +42,7 @@ from .fields import (
     random_divergence_free,
     random_field,
 )
-from .jets import Jet, _check_ring, _Record, _setters
+from .jets import Jet, _cost_guard, _Record, _setters, _shown
 from .maps import (
     FormalMap,
     _rand_monomial,
@@ -562,60 +561,19 @@ CHECK_IDS = tuple(CHECKS)
 
 # -- configuration and execution ----------------------------------------------------
 
-# Cost ceilings, checked by ``_cost_guard`` for each cell before any of
-# its trials runs and for each calculator request before its text is
-# parsed.  A jet of order k in n variables has C(n + k, n) monomials; a
-# product of two dense ones took 4.6 ms at the stretch point
-# (n = 4, order 8: 495 monomials) and 11 ms at (4, 10), the largest ring
-# admitted, on a 2-vCPU Xeon under Python 3.11, and a trial runs hundreds
-# of products.  C9's grid brackets every pair of n scaled translation
-# fields for each of the 3**n - 1 nonzero weight vectors, at about 0.07 ms
-# a bracket on the largest ring admitted at each n; the ceiling admits
-# n <= 5, about 0.2 s a cell of 100 trials at (5, 7), and refuses n = 6,
-# whose grid alone takes about 0.7 s at (6, 6).  C2 and C3 take Jacobian
-# determinants, and so does C5's control; ``JetMatrix.det`` makes
-# n * 2**(n - 1) - n products and keeps 2**n minors, so its cost doubles
-# with each variable.  On the same machine one C2 trial took 0.3-0.5 s at
-# (8, 4), the costliest ring admitted at n = 8, 1.0-1.2 s at (9, 4) and
-# 3.0-4.3 s at (10, 4).  ``validate`` caps a cell's trials at 100 times
-# the default: 10 000 trials of C7 at (3, 5), the costliest default cell
-# at about 12 ms a trial, take two minutes.
-MAX_RING_SIZE = 1001
+# The suite's own ceilings, checked for each cell before any of its trials
+# runs beside the ring and determinant ones in ``jets``.  C9's grid brackets
+# every pair of n scaled translation fields for each of the 3**n - 1 nonzero
+# weight vectors, at about 0.07 ms a bracket on the largest ring admitted at
+# each n, on a 2-vCPU Xeon under Python 3.11; the ceiling admits n <= 5,
+# about 0.2 s a cell of 100 trials at (5, 7), and refuses n = 6, whose grid
+# alone takes about 0.7 s at (6, 6).  C2 and C3 take Jacobian determinants,
+# and so does C5's control.  ``validate`` caps a cell's trials at 100 times
+# the default: 10 000 trials of C7 at (3, 5), the costliest default cell at
+# about 12 ms a trial, take two minutes.
 MAX_GRID_BRACKETS = 2500
-MAX_DET_VARS = 8
 MAX_TRIALS = 10_000
 _DET_CHECKS = ("C2", "C3", "C5")
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or a stand-in where it holds an int past the
-    interpreter's digit limit, so that the message of a refusal can always
-    be built."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"
-
-
-def _cost_guard(what: str, n: int, order: int, det: bool) -> None:
-    """``ConfigError`` if jets at (n, order) are too costly, or if ``det``
-    and Jacobian determinants in n variables are.
-
-    A pair that is no ring raises ``_check_ring``'s ``ValueError`` first.
-    """
-    _check_ring(n, order)
-    # C(n + order, n) > max(n, order) for positive n and order, so the
-    # first test keeps the binomial small.
-    if max(n, order) >= MAX_RING_SIZE or math.comb(n + order, n) > MAX_RING_SIZE:
-        raise ConfigError(
-            f"{what} at n={_shown(n)}, order={_shown(order)} is too costly: its jets have "
-            f"more than {MAX_RING_SIZE} monomials"
-        )
-    if det and n > MAX_DET_VARS:
-        raise ConfigError(
-            f"{what} at n={n} is too costly: Jacobian determinants are "
-            f"admitted up to n = {MAX_DET_VARS}"
-        )
 
 
 def _cell_check(check, n, order) -> IdentityCheck:

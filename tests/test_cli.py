@@ -296,11 +296,12 @@ def test_verify_rejects_bad_config(capsys):
     assert "duplicate n in configuration" in err
 
 
-def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):
-    def no_run(config):
-        raise AssertionError("run_suite must not start")
+def no_suite_run(config):
+    raise AssertionError("run_suite must not start")
 
-    monkeypatch.setattr(cli, "run_suite", no_run)
+
+def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):
+    monkeypatch.setattr("jetfields.suite.run_suite", no_suite_run)
     for argv in (["verify", "--n-list", "12"],
                  ["verify", "--checks", "C9", "--n-list", "2,6", "--order-list", "2"],
                  ["verify", "--trials", "1000000000000"],
@@ -395,6 +396,74 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert SEED_ENV_VAR in err
+
+
+# -- integers: ASCII digits with an optional leading "-" -------------------------------
+
+SMALL_VERIFY = ("verify", "--checks", "C1", "--n-list", "1", "--order-list", "3",
+                "--trials", "1")
+
+
+def test_int_reads_ascii_digits_and_a_leading_minus():
+    assert [cli._int(t) for t in ("0", "007", "-3", "9" * 18)] == [0, 7, -3, 10 ** 18 - 1]
+    for text in ("", "-", "--2", "+2", " 2", "2 ", "2_0", "\u0662", "\u00b2", "\uff13",
+                 "0x1", "1e3", "9" * (DIGITS + 1)):
+        with pytest.raises(argparse.ArgumentTypeError, match="^invalid int value: "):
+            cli._int(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("div", "-n", "1", "-N", "2_0", "(x1)*d1"),
+    ("div", "-n", "\u0662", "-N", "3", "(x1)*d1"),
+    ("div", "-n", " 2", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "2 ", "-N", "3", "(x1)*d1"),
+    ("div", "-n", "+2", "-N", "3", "(x1)*d1"),
+    ("jacdet", "-n", "1", "-N", "\uff13", "x1 -> x1"),
+    ("push", "-N", "3", "-n", "1_0", "x1 -> x1", "(1)*d1"),
+    SMALL_VERIFY[:-1] + ("1_0",), SMALL_VERIFY[:-1] + (" 1",), SMALL_VERIFY[:-1] + ("\u0661",),
+    SMALL_VERIFY + ("--seed", " 7"), SMALL_VERIFY + ("--seed", "+7"),
+    SMALL_VERIFY + ("--seed", "7_0"), SMALL_VERIFY + ("--seed", "\u0667"),
+], ids=route_id)
+def test_flags_refuse_integers_other_than_ascii_digits(capsys, monkeypatch, argv):
+    monkeypatch.setattr("jetfields.suite.run_suite", no_suite_run)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid int value" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-list", "1,,1_0"), ("--n-list", "\u0661"), ("--n-list", "1,+2"),
+    ("--order-list", "3,4_0"), ("--order-list", "3, \u0663"),
+])
+def test_lists_refuse_integers_other_than_ascii_digits(capsys, monkeypatch, flag, value):
+    monkeypatch.setattr("jetfields.suite.run_suite", no_suite_run)
+    code, out, err = run(capsys, *SMALL_VERIFY, flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be a comma-separated list of integers\n"
+
+
+@pytest.mark.parametrize("seed", [" 7", "7 ", "+7", "7_0", "\u0667"])
+def test_seed_variable_refuses_integers_other_than_ascii_digits(capsys, monkeypatch, seed):
+    monkeypatch.setattr("jetfields.suite.run_suite", no_suite_run)
+    monkeypatch.setenv(SEED_ENV_VAR, seed)
+    code, out, err = run(capsys, *SMALL_VERIFY)
+    assert (code, out) == (2, "")
+    assert err == f"error: {SEED_ENV_VAR} must be an integer, got {seed!r}\n"
+
+
+def test_lists_keep_spaces_and_empty_items_and_seeds_their_minus(capsys, monkeypatch):
+    # Spaces around an item and empty items are read as before; a list
+    # item or a seed that int() alone would take is not.
+    monkeypatch.setenv(SEED_ENV_VAR, "-5")
+    argv = ("verify", "--checks", " C1 ,", "--n-list", " 1 , ,", "--order-list", ",3\t",
+            "--trials", "1", "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == {"checks": ["C1"], "n_list": [1], "order_list": [3],
+                                         "trials": 1, "seed": -5}
+    code, out, _ = run(capsys, *argv, "--seed", "-0")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 0
+    assert run(capsys, *argv[:4], "1,,1_0", *argv[5:])[:2] == (2, "")
 
 
 def test_verify_default_seed_is_zero(capsys, monkeypatch):

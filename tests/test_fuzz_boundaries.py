@@ -1,4 +1,4 @@
-"""A standing fuzz of the JSON payload and suite-config boundaries.
+"""A standing fuzz of the JSON payload, suite-config, argv and text boundaries.
 
 A payload that ``rerun_payload`` cannot replay must be refused with a
 ``ConfigError``, never escape as a raw ``TypeError``, ``ValueError`` or
@@ -11,9 +11,13 @@ likewise raise nothing but ``ConfigError`` when it is built and validated;
 no example runs a suite.  An argv of a calculator command or of ``verify``
 with tokens replaced, inserted or deleted must make ``cli.main`` exit 0, 1
 or 2, raise nothing, and print the same whether or not it takes the
-canonical route past argparse.  The profile is derandomised and the
-example counts bounded, so every run replays the same examples in a few
-seconds.
+canonical route past argparse.  A valid series, field or map text with
+tokens swapped, deleted, repeated or replaced, junk or unknown variables
+inserted, or a term pushed past the order must make each of
+``parse_series``, ``parse_field`` and ``parse_map`` raise nothing but a
+``ParseError``, and a mutant that parses must read back from its ``str``
+as an equal value.  The profile is derandomised and the example counts
+bounded, so every run replays the same examples in a few seconds.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import contextlib
 import copy
 import io
 import math
+import re
 import sys
 
 import pytest
@@ -29,7 +34,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_rng
-from jetfields import CHECK_IDS, CHECKS, ConfigError, SuiteConfig, cli, rerun_payload
+from jetfields import (CHECK_IDS, CHECKS, ConfigError, ParseError, SuiteConfig, cli,
+                       parse_field, parse_map, parse_series, rerun_payload)
 from jetfields.suite import _serialize_inputs
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=30,
@@ -201,7 +207,7 @@ def outcome(argv: list) -> tuple:
 
 @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
 def test_main_exits_0_1_or_2_on_mutated_argv(monkeypatch, argv):
-    monkeypatch.setattr(cli, "run_suite", lambda config: _Report())
+    monkeypatch.setattr("jetfields.suite.run_suite", lambda config: _Report())
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     examples = mutants(argv, seeded_rng(f"cli fuzz {argv[0]}"))
     canonical = 0
@@ -215,3 +221,90 @@ def test_main_exits_0_1_or_2_on_mutated_argv(monkeypatch, argv):
     # Many examples take each route, so the comparison is not vacuous.
     if argv[0] != "verify":
         assert len(examples) // 10 <= canonical <= len(examples) * 9 // 10, canonical
+
+
+# Valid texts of each kind, with their rings, and what a text mutant may
+# gain: the junk of the argv fuzz, over-long literals, unknown variables and
+# field symbols, and a factor that pushes its term past the order.
+TEXTS = [
+    ("x1 + 2*x1^2*x2 - 1/2", 2, 4),
+    ("3/4*x1*x2^2 - x2^3 + 7*x1^4", 2, 4),
+    ("-x1 + x1^3", 1, 3),
+    ("1/3 - 5*x1*x2*x3 + x3^2", 3, 3),
+    ("(x1^2)*d1 + (x1*x2)*d2", 2, 4),
+    ("-(1/2 - x1)*d1 + (x2^2 - 3*x1)*d2", 2, 4),
+    ("(1 + x1)*d1", 1, 3),
+    ("0", 2, 3),
+    ("x1 -> x1; x2 -> x2 + x1^2", 2, 4),
+    ("x1 -> 2*x1 - x2^3; x2 -> x1 + 1/3*x2^2", 2, 4),
+    ("x1 -> x1 + x1^2", 1, 3),
+    ("x1 -> x2; x2 -> x3; x3 -> x1 - x1*x2*x3", 3, 3),
+]
+TEXT_TOKEN = re.compile(r"[xd][0-9]+|[0-9]+|->|[-+*/^();]|\S")
+TEXT_JUNK = TOKENS + [
+    "9" * (DIGITS + 1), "x" + "1" * (DIGITS + 1), "1" * 40, "x0", "x4", "x9", "d0", "d4",
+    "x12", "x", "d", "^", "->", ";", "(", ")", "/", "0",
+]
+PARSERS = (parse_series, parse_field, parse_map)
+TEXT_MUTANTS = 800
+
+
+def kind(token: str) -> str:
+    """The grammar class of a token: a variable, a field symbol, an integer,
+    or the token itself."""
+    if token[:1] in ("x", "d") and token[1:].isdigit():
+        return token[0]
+    return "0" if token.isdigit() else token
+
+
+def text_mutants(text: str, order: int, rng) -> list:
+    """``TEXT_MUTANTS`` token-level mutants of ``text``, one to three edits
+    each: two tokens of one grammar class swapped (so that many mutants stay
+    valid), a token deleted, a run of up to four tokens repeated, junk
+    inserted or put in a token's place, or a factor that pushes a term past
+    the order.  Every fourth mutant is joined with no separator, so that
+    neighbouring tokens can fuse; the rest with spaces."""
+    base = TEXT_TOKEN.findall(text)
+    out = []
+    for index in range(TEXT_MUTANTS):
+        tokens = list(base)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            edit = rng.randrange(6)
+            at = rng.randrange(len(tokens)) if tokens else 0
+            if edit == 0 and tokens:
+                same = [i for i, t in enumerate(tokens) if kind(t) == kind(tokens[at])]
+                other = rng.choice(same)
+                tokens[at], tokens[other] = tokens[other], tokens[at]
+            elif edit == 1 and tokens:
+                del tokens[at]
+            elif edit == 2 and tokens:
+                run = tokens[at:at + rng.randint(1, 4)]
+                tokens[at:at] = run
+            elif edit == 3:
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(TEXT_JUNK))
+            elif edit == 4 and tokens:
+                tokens[at] = rng.choice(TEXT_JUNK)
+            else:
+                variables = [i for i, t in enumerate(tokens) if kind(t) == "x"]
+                if variables:
+                    at = rng.choice(variables) + 1
+                    tokens[at:at] = ["*", "x1", "^", str(order)]
+        out.append(("" if index % 4 == 3 else " ").join(tokens))
+    return out
+
+
+@pytest.mark.parametrize("text, n, order", TEXTS, ids=[t for t, _, _ in TEXTS])
+def test_only_parse_errors_escape_the_text_parsers(text, n, order):
+    parsed = 0
+    for mutant in text_mutants(text, order, seeded_rng(f"text fuzz {text}")):
+        for parse in PARSERS:
+            try:
+                value = parse(mutant, n, order)
+            except ParseError:
+                continue
+            except Exception as exc:  # reported with the text that raised it
+                pytest.fail(f"{parse.__name__}({mutant!r}, {n}, {order}) raised {exc!r}")
+            parsed += 1
+            assert parse(str(value), n, order) == value, (parse.__name__, mutant)
+    # Many mutants stay valid, so the round trip is not vacuous.
+    assert parsed >= TEXT_MUTANTS // 20, parsed

@@ -9,12 +9,16 @@ re-exports through ``__all__``.
 Each calculator command pays for ``import jetfields`` first.  ``dataclasses``
 cost about a quarter of that import, generating methods and pulling in
 ``inspect``, ``dis``, ``ast`` and ``tokenize``, so a fresh interpreter
-checks that neither module comes back.
+checks that neither module comes back.  The verification suite, with
+``hashlib`` and ``json``, cost about a third of what was left; only
+``verify`` and callers of the suite load it, on first use, so a fresh
+interpreter checks that a calculator command does not.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -83,3 +87,44 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Run in one fresh interpreter: what ``import jetfields`` loads, then what a
+# canonical calculator command adds, then every public name and ``dir``.
+LAZY_SUITE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import jetfields
+loaded = {"package": sorted(set(sys.modules) - before)}
+import jetfields.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = jetfields.cli.main(["div", "-n", "2", "-N", "4", "(x1)*d1 + (x2)*d2"])
+loaded["cli"] = sorted(set(sys.modules) - before)
+missing = []
+for name in jetfields.__all__:
+    try:
+        exec(f"from jetfields import {name}")
+    except ImportError:
+        missing.append(name)
+import json
+print(json.dumps({
+    "loaded": loaded, "code": code, "missing": missing,
+    "not_in_dir": sorted(set(jetfields.__all__) - set(dir(jetfields))),
+    "copied": sorted(name for name, value in vars(jetfields).items()
+                     if getattr(value, "__module__", None) == "jetfields.suite"),
+    "same": jetfields.run_suite is sys.modules["jetfields.suite"].run_suite,
+}))
+"""
+
+
+def test_calculator_commands_leave_the_suite_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", LAZY_SUITE], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    got = json.loads(out)
+    for path, modules in got["loaded"].items():
+        assert {"jetfields.suite", "hashlib", "json"}.isdisjoint(modules), path
+    assert got["code"] == 0
+    assert got["missing"] == [] and got["not_in_dir"] == []
+    # The suite's names are looked up on each access, never copied.
+    assert got["copied"] == [] and got["same"]

@@ -12,8 +12,10 @@ degrees, and recomputes:
 
 The cases cover ``substitute`` (with images below f's order), ``compose``,
 ``apply_matrix``, ``pushforward``, the derivation action ``apply`` and
-``bracket``, at small orders and across the 15 <-> 16 key-layout boundary,
-where a lifted operand is repacked.
+``bracket``, and the three operations built on the relaxed lift:
+``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``.  They
+run at small orders and across the 15 <-> 16 key-layout boundary, where a
+lifted operand is repacked.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from jetfields import (
     Jet,
     JetMatrix,
     Q,
+    matrix_inverse,
     pushforward,
     random_automorphism,
 )
@@ -136,6 +139,41 @@ def bracket_case(rng, orders):
     return (x, y), lambda x, y: x.bracket(y), min(p, q) - 1
 
 
+def unit(rng: random.Random, n: int, order: int, constant: Q) -> Jet:
+    """A dense jet: ``constant`` plus random terms of degree 1..order."""
+    return Jet(n, order, {**terms(rng, n, 1, order, 3), (0,) * n: constant})
+
+
+def invert_case(rng, orders):
+    # A linear part with a nonzero diagonal and below it, and random terms
+    # of degree 2..p: the lift of sigma's degree p + 1 reaches the inverse's
+    # at p + 1 through A^-1.
+    n, (p,) = shape(rng, 1, orders)
+    images = []
+    for i in range(n):
+        linear = {tuple(int(k == j) for k in range(n)): Q(rng.randint(-2, 2))
+                  for j in range(i)}
+        linear[tuple(int(k == i) for k in range(n))] = Q(rng.randint(1, 3))
+        images.append(Jet(n, p, {**terms(rng, n, 2, p, 3), **linear}))
+    return (FormalMap(n, p, tuple(images)),), lambda s: s.invert(), p
+
+
+def matrix_inverse_case(rng, orders):
+    # A dense matrix whose constants form an invertible lower-triangular
+    # matrix: the lift of M's degree r + 1 reaches M^-1's through C^-1.
+    n, (r,) = shape(rng, 1, orders)
+    m = JetMatrix(tuple(tuple(
+        unit(rng, n, r, Q(rng.randint(1, 3)) if i == j else Q(rng.randint(-2, 2) * (j < i)))
+        for j in range(n)) for i in range(n)))
+    return (m,), matrix_inverse, r
+
+
+def invert_unit_case(rng, orders):
+    n, (q,) = shape(rng, 1, orders)
+    f = unit(rng, n, q, Q(rng.randint(1, 3) * rng.choice((-1, 1)), rng.randint(1, 2)))
+    return (f,), lambda f: f.invert_unit(), q
+
+
 CASES = {
     "substitute": substitute_case,
     "compose": compose_case,
@@ -143,6 +181,9 @@ CASES = {
     "pushforward": pushforward_case,
     "apply": apply_case,
     "bracket": bracket_case,
+    "invert": invert_case,
+    "matrix_inverse": matrix_inverse_case,
+    "invert_unit": invert_unit_case,
 }
 
 
