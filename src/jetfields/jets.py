@@ -164,10 +164,9 @@ def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, 
     that would exceed the degree cap.
 
     Numerators are dicts, which are sorted for that walk on every call, or
-    lists of (key, numerator) items, which are walked as given: a caller
+    key-sorted lists of (key, numerator) items, walked as given: a caller
     that uses one operand in many products sorts it once (``_sorted``).  A
-    list need not be sorted when no product of its pair reaches ``limit``.
-    A linear combination sum c * b with integer c is a pass over pairs
+    linear combination sum c * b with integer c is a pass over pairs
     (([(0, c)], 1), b), as in the tail of ``_subst_terms``: keys are degree
     first, so the walk of each sorted b stops at the first key it would drop.
     """
@@ -195,6 +194,37 @@ def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, 
     return {k: c for k, c in out.items() if c}, den
 
 
+def _layer_dot(pairs: Sequence[tuple[tuple, tuple]]) -> tuple[list, int]:
+    """sum a/da * b/db over ((a, da), (b, db)) pairs of homogeneous layers,
+    (numerator items in any order, denominator), whose degrees add up to
+    one degree.  Every product lands on it, so unlike ``_dot_terms`` the
+    pass tests no cap and sorts nothing.  The result is a layer reduced by
+    one gcd as its items are listed, or ``_EMPTY``."""
+    pairs = [(a, da * db, b) for (a, da), (b, db) in pairs if a and b]
+    if not pairs:
+        return _EMPTY
+    den = pairs[0][1] if len(pairs) == 1 else lcm(*[d for _, d, _ in pairs])
+    out: dict = {}
+    get = out.get
+    for a, d, b in pairs:
+        s = den // d
+        if len(a) > len(b):
+            a, b = b, a
+        for ka, ca in a:
+            if s != 1:
+                ca *= s
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    items = [(k, c) for k, c in out.items() if c]
+    if not items:
+        return _EMPTY
+    g = gcd(den, *[c for _, c in items]) if den != 1 else 1
+    if g == 1:
+        return items, den
+    return [(k, c // g) for k, c in items], den // g
+
+
 def _sorted(form: tuple[dict, int]) -> tuple[list, int]:
     """``form`` with its numerators as a key-sorted item list, for reuse in ``_dot_terms``."""
     return sorted(form[0].items()), form[1]
@@ -214,6 +244,7 @@ def _derive_terms(num: dict, j: int, n: int, w: int) -> dict:
 
 
 _UNIT = ([(0, 1)], 1)
+_EMPTY: tuple[list, int] = ([], 1)
 
 # Variables evaluated from the table of image products rather than by Horner.
 _TAIL = 2
@@ -321,11 +352,10 @@ def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int
 
 # -- relaxed evaluation ---------------------------------------------------------------
 
-_EMPTY: tuple[list, int] = ([], 1)
-
 
 class _Layers:
-    """A power series held as its homogeneous parts, lowest degree first.
+    """A power series held as its homogeneous parts, lowest degree first,
+    as ``FormalMap.invert`` and ``Jet.invert_unit`` lift them.
 
     ``layers[d]`` is the degree-d part as a reduced (numerator items in no
     particular order, positive denominator) pair.  The layers a series
@@ -333,8 +363,8 @@ class _Layers:
     sum prev_a * head_{d-a} over its ``links`` (prev, head) and the nonempty
     layers a < d of prev, plus sum c * t_d over its ``terms`` (c, t), pairs
     of a constant form and a series.  Since a < d, a series may link to
-    itself.  Every product lands on degree d, so a layer is one product pass
-    that truncates nothing, and its items need no order.
+    itself.  Every product lands on degree d, so a layer is one
+    ``_layer_dot`` pass.
 
     ``shift`` says how far the series may lag the round: in round k it is
     needed through layer k - shift (``_lift``).
@@ -346,26 +376,23 @@ class _Layers:
         self.layers, self.links, self.terms = layers, list(links), list(terms)
         self.shift = math.inf
 
-    def grow(self, d: int, limit: int) -> None:
+    def grow(self, d: int) -> None:
         """Append the layers through degree d.  The layers they read must be
         there already; a missing one raises IndexError."""
         layers = self.layers
         while len(layers) <= d:
             e = len(layers)
-            pairs = [(c, part) for c, t in self.terms if (part := t.layers[e])[0]]
+            pairs = [(c, t.layers[e]) for c, t in self.terms]
             for prev, head in self.links:
                 low, high = prev.layers, head.layers
                 pairs += [(low[a], high[e - a]) for a in range(e) if low[a][0]]
-            if pairs:
-                num, den = _reduce(*_dot_terms(pairs, limit))
-                layers.append((list(num.items()), den))
-            else:
-                layers.append(_EMPTY)
+            layers.append(_layer_dot(pairs))
 
 
-def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int, limit: int) -> None:
+def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int) -> None:
     """Grow ``results`` through layer ``order``, one layer a round, with the
-    series in ``nodes`` that they read.
+    series in ``nodes`` that they read: the relaxed lift of
+    ``FormalMap.invert`` and ``Jet.invert_unit``.
 
     ``nodes`` lists each series after every series it reads; the results
     come last and may read themselves and each other through links.  A
@@ -389,7 +416,7 @@ def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int, limi
     for k in range(1, order + 1):
         for node in nodes:
             if len(node.layers) <= k - node.shift:
-                node.grow(k - node.shift, limit)
+                node.grow(k - node.shift)
     for node in nodes:
         node.links = node.terms = ()
 
@@ -566,17 +593,6 @@ def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
             pairs.append((_form(a, k), (part, f._den)))
     num, den = _dot_terms(pairs, _limit(k, n, w))
     return _jet(n, k, *_reduce(num, den), w)
-
-
-def _linear_row(jet: "Jet") -> list["Q"]:
-    """The coefficients of x1..xn in ``jet``, read from its integer form."""
-    n, w, num, den = jet.n, jet._w, jet._num, jet._den
-    degree_one = 1 << (w * n)
-    out = []
-    for j in range(n):
-        c = num.get(degree_one | (1 << (w * (n - 1 - j))))
-        out.append(Q(c, den) if c else _ZERO)
-    return out
 
 
 def _scaled_layers(jet: "Jet", s: int, den: int) -> list[tuple[list, int]]:
@@ -939,7 +955,7 @@ class Jet(_Frozen):
         num, den = _reduce({0: sign * self._den}, abs(c))
         x = _Layers([(list(num.items()), den)])
         x.links = [(x, _Layers(_scaled_layers(self, -sign, abs(c))))]
-        _lift([], [x], self.order, _limit(self.order, self.n, self._w))
+        _lift([], [x], self.order)
         return _join_layers(self.n, self.order, x.layers)
 
     # serialization
@@ -1053,11 +1069,18 @@ class JetMatrix(_Frozen):
         return JetMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
+        # Each entry is one product pass; a right-hand entry is sorted once
+        # for all the rows it meets.
         self._check_compatible(other)
-        cap = min(self.order, other.order)
-        cols = list(zip(*other.rows))
+        n, cap = self.n, min(self.order, other.order)
+        w = _width(cap)
+        limit = _limit(cap, n, w)
+        rows = [[_form(e, cap) for e in row] for row in self.rows]
+        cols = [[_sorted(_form(e, cap)) for e in col] for col in zip(*other.rows)]
         return JetMatrix(tuple(
-            tuple(_dot(self.n, cap, zip(row, col)) for col in cols) for row in self.rows
+            tuple(_jet(n, cap, *_reduce(*_dot_terms(list(zip(row, col)), limit)), w)
+                  for col in cols)
+            for row in rows
         ))
 
     def _check_compatible(self, other: "JetMatrix") -> None:

@@ -9,7 +9,9 @@ denominators and eliminate fraction-free: each update is divided exactly
 by the previous pivot (Bareiss, Math. Comp. 22(103), 1968), and each row
 is kept from its current column on.  A scaled row is a nonzero multiple of
 the row that rational elimination holds, so both pick the same pivots.
-``kernel_basis`` stays on rationals.
+``inverse`` returns what elimination ends with, integers over one
+positive denominator, and builds no rationals.  ``kernel_basis`` stays
+on rationals.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ def det(a: Matrix) -> "Q":
     return Q(sign * prev, prod(scales))
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Inverse by fraction-free Gauss-Jordan; raises SingularMatrix when the rank drops.
+def inverse(a: Matrix) -> tuple[list[list[int]], int]:
+    """The inverse as (X, d) with a^-1 = X / d, X integer and d > 0, by
+    fraction-free Gauss-Jordan; raises SingularMatrix when the rank drops.
 
     The scaled rows D a are augmented with D, the diagonal of the scales,
     so they solve (D a) X = D for X = a^-1.  Each step updates every row
     but the pivot row, which leaves all rows over the current pivot; after
-    the last step the augmented block is the last pivot times X.
+    the last step the augmented block is the last pivot times X.  X / d
+    need not be reduced.
     """
     m, scales = _integer_rows(a)
     n = len(m)
@@ -84,7 +88,9 @@ def inverse(a: Matrix) -> Matrix:
                 f = row[0]
                 m[r] = [(x * p - f * y) // prev for x, y in zip(row[1:], tail)]
         prev = p
-    return [[Q(x, prev) for x in row] for row in m]
+    if prev < 0:
+        return [[-x for x in row] for row in m], -prev
+    return m, prev
 
 
 def kernel_basis(a: Matrix, ncols: int) -> list[Vector]:

@@ -40,7 +40,7 @@ from .errors import (
     SingularMatrix,
 )
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
-                   _jet, _join_layers, _Layers, _lift, _limit, _linear_row, _pack, _reduce,
+                   _jet, _join_layers, _Layers, _layer_dot, _lift, _pack, _reduce,
                    _relaxed_terms, _scaled_layers, _setters, _width)
 from .rationals import Q
 
@@ -95,13 +95,21 @@ class FormalMap(JetTuple):
         images = tuple(self._apply(img, table).truncate(k) for img in other.images)
         return FormalMap(self.n, k, images)
 
+    def _degree_one(self) -> tuple[list[int], list[list[int]]]:
+        """The packed keys of x1..xn, and D A for D the diagonal of the image
+        denominators: row i holds image i's degree-1 numerators."""
+        n, w = self.n, _width(self.order)
+        xs = [1 << (w * n) | 1 << (w * (n - 1 - j)) for j in range(n)]
+        return xs, [[img._num.get(k, 0) for k in xs] for img in self.images]
+
     def linear_part(self) -> LinearPart:
         """The matrix A with image_i = sum_j A[i][j] x_j + higher order."""
-        return [_linear_row(img) for img in self.images]
+        rows = self._degree_one()[1]
+        return [[Q(c, img._den) for c in row] for row, img in zip(rows, self.images)]
 
     @property
     def is_automorphism(self) -> bool:
-        return bool(linalg.det(self.linear_part()))
+        return bool(linalg.det(self._degree_one()[1]))
 
     def jacobian_matrix(self) -> JetMatrix:
         """Entries J[i][j] = d(image_j)/d(x_i), exact to order - 1."""
@@ -151,36 +159,36 @@ class FormalMap(JetTuple):
         order 100-200, but 0.45-0.73x as fast at n = 3-4, order 6-8, where
         the table holds many products.
         """
-        a = self.linear_part()
+        n, cap = self.n, self.order
+        w = _width(cap)
+        xs, rows = self._degree_one()
         try:
-            ainv = linalg.inverse(a)
+            inv, d = linalg.inverse(rows)  # (D A)^-1 = X / d
         except SingularMatrix:
             raise SingularMatrix(
                 "map has a singular linear part, so no formal inverse exists"
             ) from None
-        n, cap = self.n, self.order
-        w = _width(cap)
-        xs = [1 << (w * n) | 1 << (w * (n - 1 - j)) for j in range(n)]
-        # The rows of A^-1, each as integers over the lcm of its denominators.
-        rows = list(zip(*linalg._integer_rows(ainv)))
-        # ws[r] is image r of the inverse; its layer 1 is row r of A^-1 x.
+        # ws[r] is image r of the inverse; its layer 1 is row r of
+        # A^-1 x = X D x / d.
         ws = []
-        for coeffs, d in rows:
-            num, den = _reduce({x: c for x, c in zip(xs, coeffs) if c}, d)
+        dens = [img._den for img in self.images]
+        for row in inv:
+            num, den = _reduce({k: c * e for k, c, e in zip(xs, row, dens) if c}, d)
             ws.append(_Layers([_EMPTY, (list(num.items()), den)]))
         one = _Layers([([(0, 1)], 1)])
         table = {0: one, **dict(zip(xs, ws))}
         nodes = [one]
         # h = sigma - A x, split off once: the images with their degree-1
-        # terms dropped.  Layer k >= 2 of ws[r] is -sum_i A^-1[r][i] h_i(w)_k,
-        # taken over the series whose sum is h_i(w).
+        # terms dropped, image i as numerators H_i over its denominator.
+        # Layer k >= 2 of ws[r] is -sum_i A^-1[r][i] h_i(w)_k, and
+        # A^-1[r][i] h_i = X[r][i] H_i / d: the image's denominator cancels.
         for i, img in enumerate(self.images):
             h = {k: c for k, c in img._num.items() if k >> (w * n) != 1}
             parts = _relaxed_terms(h, ws, 0, w, table, nodes)
-            for (coeffs, d), s in zip(rows, ws):
-                if coeffs[i]:
-                    s.terms += [(([(0, -coeffs[i] * c)], d * img._den), t) for c, t in parts]
-        _lift(nodes, ws, cap, _limit(cap, n, w))
+            for row, s in zip(inv, ws):
+                if row[i]:
+                    s.terms += [(([(0, -row[i] * c)], d), t) for c, t in parts]
+        _lift(nodes, ws, cap)
         return FormalMap(n, cap, tuple(_join_layers(n, cap, s.layers) for s in ws))
 
     # text form
@@ -206,10 +214,12 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     """Inverse of a jet matrix whose constant term is invertible.
 
     With C the constant matrix, M X = I reads X = C^-1 + V X, where
-    V = I - C^-1 M has no constant term.  So X[i][j] is the series that
-    starts at C^-1[i][j] and links to X[l][j] with head V[i][l] for each l,
-    lifted one degree layer a round by ``jets._lift``: each pair of terms of
-    V and X is multiplied once.
+    V = I - C^-1 M has no constant term.  So layer k of X[i][j] is the sum
+    of V[i][l]_b X[l][j]_{k-b} over l and b >= 1: it reads only layers of X
+    below k.  X is built from C^-1 one layer a round, each entry's layer
+    one ``_layer_dot`` pass over plain lists of layers, so each pair of
+    terms of V and X is multiplied once.  No layer is read in its own
+    round, so the loop needs none of the scheduling of ``jets._lift``.
 
     Newton doubling, X <- X + X(I - MX), does more work here.  Products are
     schoolbook, so its asymptotic advantage does not apply, and the
@@ -223,18 +233,24 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     """
     n, order = m.n, m.order
     w = _width(order)
-    ainv = linalg.inverse([[e.constant_term for e in row] for row in m.rows])
-    cinv = JetMatrix(tuple(tuple(_jet(n, order, {0: c.numerator} if c else {}, c.denominator, w)
-                                 for c in row) for row in ainv))
-    # V, split off C^-1 M by degree and negated; its degree-0 part is never read.
-    v = [[_Layers(_scaled_layers(e, -1, e._den)) for e in row] for row in (cinv @ m).rows]
-    x = [[_Layers([([(0, c.numerator)] if c else [], c.denominator)]) for c in row]
-         for row in ainv]
-    for i, row in enumerate(x):
-        for j, s in enumerate(row):
-            s.links = [(x[l][j], v[i][l]) for l in range(n)]
-    _lift([], [s for row in x for s in row], order, _limit(order, n, w))
-    return JetMatrix(tuple(tuple(_join_layers(n, order, s.layers) for s in row) for row in x))
+    # Row i of C times the lcm s_i of its denominators is integer, and
+    # (S C)^-1 = X / d, so C^-1[r][i] = X[r][i] s_i / d.
+    scales = [lcm(*[e._den for e in row]) for row in m.rows]
+    inv, d = linalg.inverse([[e._num.get(0, 0) * (s // e._den) for e in row]
+                             for row, s in zip(m.rows, scales)])
+    c = [[_reduce({0: v * s} if v else {}, d) for v, s in zip(row, scales)] for row in inv]
+    cinv = JetMatrix(tuple(tuple(_jet(n, order, num, den, w) for num, den in row) for row in c))
+    # V, split off C^-1 M by degree and negated, as its nonempty layers
+    # (b, layer) of degree b >= 1 in each entry.
+    v = [[[(b, p) for b, p in enumerate(_scaled_layers(e, -1, e._den)) if b and p[0]]
+          for e in row] for row in (cinv @ m).rows]
+    x = [[[(list(num.items()), den)] for num, den in row] for row in c]
+    for k in range(1, order + 1):
+        for xi, vi in zip(x, v):
+            for j, s in enumerate(xi):
+                s.append(_layer_dot([(xa, p) for l, vl in enumerate(vi) for b, p in vl
+                                     if b <= k and (xa := x[l][j][k - b])[0]]))
+    return JetMatrix(tuple(tuple(_join_layers(n, order, s) for s in row) for row in x))
 
 
 # -- flows -------------------------------------------------------------------------

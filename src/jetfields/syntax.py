@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ParseError
 from .fields import Derivation
@@ -70,6 +70,16 @@ def _digits(value: int) -> str:
         return str(value)
     except ValueError:
         return f"longer than {sys.get_int_max_str_digits()} digits"
+
+
+def _check_sum(text: str, tokens: list, k: int, p: int, q: int) -> None:
+    """Refuse p/q, a coefficient summed at token k, if in lowest terms its
+    numerator or denominator is past the digit limit: it would not print."""
+    limit = sys.get_int_max_str_digits()
+    top = max(p, -p, q)
+    # 2**(3 * limit) < 10**limit, so shorter values pass with no division.
+    if limit and top.bit_length() > 3 * limit and top // gcd(p, q) >= 10 ** limit:
+        raise _error(text, tokens, k, f"summed coefficient longer than {limit} digits")
 
 
 def _parse(walk, text: str, n: int, order: int):
@@ -152,6 +162,7 @@ def _series(text: str, tokens: list, n: int, order: int, w: int,
         if prev is not None:
             p0, q0 = prev
             p, q = (p0 + p, q) if q0 == q else (p0 * q + p * q0, q0 * q)
+            _check_sum(text, tokens, start, p, q)
         acc[key] = p, q
         t = tokens[i]
         if t in stop:
@@ -178,6 +189,7 @@ def _field(text: str, tokens: list, n: int, order: int, w: int) -> list[Jet]:
             i += 1
         if tokens[i] != "(":
             raise _error(text, tokens, i, "expected '(' opening a coefficient series")
+        start = i
         series, i = _series(text, tokens, n, order, w, i + 1, (")",))
         i += 1  # past the ")" the series stopped at
         if tokens[i] != "*":
@@ -189,7 +201,10 @@ def _field(text: str, tokens: list, n: int, order: int, w: int) -> list[Jet]:
         idx = int(t[1:])
         if not 0 < idx <= n:
             raise _unknown(text, tokens, i, n, "field symbol d")
-        coeffs[idx - 1] = coeffs[idx - 1] + (-series if negate else series)
+        prev = coeffs[idx - 1]
+        coeffs[idx - 1] = total = prev + (-series if negate else series)
+        for c in total._num.values() if prev._num else ():
+            _check_sum(text, tokens, start, c, total._den)
         i += 1
         t = tokens[i]
         if t == " ":

@@ -224,8 +224,9 @@ def test_main_exits_0_1_or_2_on_mutated_argv(monkeypatch, argv):
 
 
 # Valid texts of each kind, with their rings, and what a text mutant may
-# gain: the junk of the argv fuzz, over-long literals, unknown variables and
-# field symbols, and a factor that pushes its term past the order.
+# gain: the junk of the argv fuzz, literals at the digit limit (whose sums
+# pass it) and past it, unknown variables and field symbols, and a factor
+# that pushes its term past the order.
 TEXTS = [
     ("x1 + 2*x1^2*x2 - 1/2", 2, 4),
     ("3/4*x1*x2^2 - x2^3 + 7*x1^4", 2, 4),
@@ -242,6 +243,8 @@ TEXTS = [
 ]
 TEXT_TOKEN = re.compile(r"[xd][0-9]+|[0-9]+|->|[-+*/^();]|\S")
 TEXT_JUNK = TOKENS + [
+    # A literal at the limit twice, so that mutants often hold two to sum.
+    "9" * DIGITS, "9" * DIGITS,
     "9" * (DIGITS + 1), "x" + "1" * (DIGITS + 1), "1" * 40, "x0", "x4", "x9", "d0", "d4",
     "x12", "x", "d", "^", "->", ";", "(", ")", "/", "0",
 ]

@@ -27,6 +27,7 @@ from jetfields import (
     PrecisionExhausted,
     Q,
 )
+from jetfields.jets import _EMPTY, _dot_terms, _layer_dot, _limit, _pack, _reduce, _width
 
 # -- independent oracles -----------------------------------------------------
 
@@ -170,6 +171,53 @@ def test_invert_unit_requires_nonzero_constant():
         Jet.variable(2, 3, 1).invert_unit()
     with pytest.raises(NotAUnit):
         Jet.zero(1, 2).invert_unit()
+
+
+# -- the layer product -------------------------------------------------------------
+
+
+def seeded_layer(rng, n: int, degree: int, w: int) -> tuple[list, int]:
+    """A homogeneous layer: one to four items of total degree ``degree``,
+    unsorted, over a denominator that may share factors with them."""
+    items: dict = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * n
+        for _ in range(degree):
+            exps[rng.randrange(n)] += 1
+        items[_pack(tuple(exps), w)] = rng.choice((-6, -3, -2, -1, 1, 2, 4, 5))
+    return list(items.items()), rng.choice((1, 2, 3, 4, 6, 7, 9))
+
+
+def test_layer_dot_matches_dot_terms():
+    # Pairs of layers whose degrees add up to d, against a capped product
+    # pass at order d, which keeps every product, then reduced.
+    rng = seeded_rng("layer-dot")
+    reduced = 0
+    for n, d in ((1, 3), (2, 4), (3, 5), (4, 8), (2, 16)):
+        w = _width(d)
+
+        def check(pairs):
+            expected = _reduce(*_dot_terms([((sorted(a), da), (sorted(b), db))
+                                            for (a, da), (b, db) in pairs], _limit(d, n, w)))
+            items, den = _layer_dot(pairs)
+            assert len(dict(items)) == len(items)
+            assert (dict(items), den) == expected
+            return items, den
+
+        for count in (1, 1, 1, 2, 3, 6):
+            pairs = []
+            for _ in range(count):
+                a = rng.randint(0, d)
+                pairs.append((seeded_layer(rng, n, a, w), seeded_layer(rng, n, d - a, w)))
+            items, den = check(pairs)
+            reduced += den < math.lcm(*[da * db for (_, da), (_, db) in pairs])
+            # Empty layers add nothing; each pair negated, over a scaled
+            # denominator, cancels the sum to zero.
+            assert check(pairs + [(_EMPTY, pairs[0][1]), (pairs[0][0], _EMPTY)]) == (items, den)
+            negated = [(([(k, -3 * c) for k, c in a], 3 * da), b) for (a, da), b in pairs]
+            assert check(pairs + negated) == _EMPTY
+    assert check([]) == _EMPTY
+    assert reduced >= 5, reduced  # the gcd step is exercised
 
 
 # -- ring axioms -------------------------------------------------------------------

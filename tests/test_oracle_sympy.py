@@ -260,6 +260,21 @@ def seeded_map(n: int, order: int) -> FormalMap:
     return map_with_linear_part(n, order, a, higher)
 
 
+def map_over_denominators(order: int) -> FormalMap:
+    # Images over 2, 3 and 7 whose degree-1 numerators [[1, 3, 0], [2, 1, 1],
+    # [1, 0, 1]] have no zero leading minor and determinant -2, so their
+    # fraction-free elimination ends on the pivot -2.
+    rng = seeded_rng(f"invert-oracle-denominators-{order}")
+    numerators = [[1, 3, 0], [2, 1, 1], [1, 0, 1]]
+    assert linalg.det(numerators) == -2
+    a = [[Q(c, q) for c in row] for row, q in zip(numerators, (2, 3, 7))]
+    higher = [{e: Q(rng.choice((-2, -1, 1, 2)), q)
+               for e in rng.sample(higher_monomials(3, order), 3)} for q in (2, 3, 7)]
+    sigma = map_with_linear_part(3, order, a, higher)
+    assert [img._den for img in sigma.images] == [2, 3, 7]
+    return sigma
+
+
 def composed(f, images, order: int, r):
     """f(images) through total degree ``order``, in sympy's sparse polynomial ring ``r``.
 
@@ -284,6 +299,7 @@ def composed(f, images, order: int, r):
 @given(invertible_maps())
 @example(seeded_map(2, 15))
 @example(seeded_map(2, 16))
+@example(map_over_denominators(5))
 def test_invert_matches_sympy(sigma):
     inv = sigma.invert()
     assert inv.order == sigma.order
@@ -427,15 +443,17 @@ def from_sympy(m) -> list[list]:
 
 
 def check_linalg(a) -> None:
-    """``det`` and ``inverse`` of ``a`` against sympy, values and types."""
+    """``det`` and ``inverse`` of ``a`` against sympy, values and types:
+    ``inverse`` gives integers X over one int d > 0 with a^-1 = X / d."""
     expected = sympy_matrix(a)
     det = linalg.det(a)
     assert type(det) is type(Q(0))
     assert det == Q(int(expected.det().p), int(expected.det().q))
     if det:
-        inv = linalg.inverse(a)
-        assert all(type(c) is type(Q(0)) for row in inv for c in row)
-        assert inv == from_sympy(expected.inv())
+        x, d = linalg.inverse(a)
+        assert type(d) is int and d > 0
+        assert all(type(c) is int for row in x for c in row)
+        assert [[Q(c, d) for c in row] for row in x] == from_sympy(expected.inv())
     else:
         with pytest.raises(SingularMatrix):
             linalg.inverse(a)

@@ -90,6 +90,10 @@ def test_parse_series_errors():
         ("*".join(["x1^" + "9" * DIGITS] * 3), 1, 10 ** DIGITS,
          f"col 1: term of degree longer than {DIGITS} digits exceeds truncation order "
          f"longer than {DIGITS} digits"),
+        # Each literal is within the limit; their sum is not, and the error
+        # points at the term that pushed it over.
+        ("9" * DIGITS + " + x1 + " + "9" * DIGITS, 1, 3,
+         f"col {DIGITS + 9}: summed coefficient longer than {DIGITS} digits"),
         ("x\u0661", 1, 3, "col 1: unexpected character 'x'"),
         ("\u0662*x1", 1, 3, "col 1: unexpected character '\u0662'"),
         ("x1 + 3/\u0664", 1, 3, "col 8: unexpected character '\u0664'"),
@@ -100,6 +104,18 @@ def test_parse_series_errors():
         assert str(err.value).startswith("col "), text
         if fragment:
             assert fragment in str(err.value), text
+
+
+def test_summed_coefficients_are_checked_once_reduced():
+    # 2 * 5...5 has one digit more than the limit, but 2 * 5...5 / 2 does not.
+    fives = "5" * DIGITS
+    f = parse_series(f"{fives}/2*x1^2 + {fives}/2*x1^2 + x1", 1, 3)
+    assert str(f) == f"x1 + {fives}*x1^2"
+    assert parse_series(str(f), 1, 3) == f
+    nines = "9" * DIGITS
+    cancelled = parse_map(f"x1 -> x1 + {nines}*x1^2 - {nines}*x1^2", 1, 3)
+    assert cancelled == parse_map("x1 -> x1", 1, 3)
+    assert str(parse_field(f"({nines})*d1 - (1)*d1 + (1)*d1", 1, 3)) == f"({nines})*d1"
 
 
 def test_literal_limit_is_the_interpreters():
@@ -150,6 +166,10 @@ def test_parse_field_errors():
     for text, message in [
         ("(x1)*d" + "1" * 4301, f"col 6: integer longer than {DIGITS} digits"),
         ("0" * 5000, f"col 1: integer longer than {DIGITS} digits"),
+        ("(" + "9" * DIGITS + ")*d1 + (" + "9" * DIGITS + ")*d1",
+         f"col {DIGITS + 9}: summed coefficient longer than {DIGITS} digits"),
+        ("(x1^2 - " + "9" * DIGITS + "*x1)*d1 - (" + "9" * DIGITS + "*x1)*d1",
+         f"col {DIGITS + 19}: summed coefficient longer than {DIGITS} digits"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_field(text, 1, 3)
@@ -186,6 +206,12 @@ def test_parse_map_errors():
         ("x3 -> x1; x2 -> x2", 2, 3, None),
         ("x1 -> x1 + " + "2" * 5000 + "*x1^2", 1, 3,
          f"col 12: integer longer than {DIGITS} digits"),
+        # Literals within the limit whose sum is not: a constant, whose
+        # message would print it, and a coefficient that would not print.
+        ("x1 -> " + "9" * DIGITS + " + " + "9" * DIGITS, 1, 3,
+         f"col {DIGITS + 10}: summed coefficient longer than {DIGITS} digits"),
+        ("x1 -> x1 + " + "9" * DIGITS + "*x1^2 + " + "9" * DIGITS + "*x1^2", 1, 3,
+         f"col {DIGITS + 20}: summed coefficient longer than {DIGITS} digits"),
     ]
     for text, n, order, fragment in cases:
         with pytest.raises(ParseError) as err:
