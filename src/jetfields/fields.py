@@ -233,17 +233,11 @@ class DivergenceClass(_Record):
     __slots__ = ("kind", "value", "verdict_order")
 
     def __init__(self, kind: str, value: Optional["Q"], verdict_order: int) -> None:
-        set_kind, set_value, set_verdict_order = _DIVERGENCE_CLASS_SETTERS
-        set_kind(self, kind)
-        set_value(self, value)
-        set_verdict_order(self, verdict_order)
+        self._fill(kind, value, verdict_order)
 
     @property
     def is_constant(self) -> bool:
         return self.kind in ("zero", "constant")
-
-
-_DIVERGENCE_CLASS_SETTERS = _setters(DivergenceClass)
 
 
 def classify_divergence(field: Derivation) -> DivergenceClass:

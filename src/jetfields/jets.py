@@ -621,12 +621,15 @@ def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet
 
 # -- frozen values ---------------------------------------------------------------
 #
-# Jets, their matrices and tuples, and the suite's records are slotted
-# classes whose constructors fill each slot through its setter, bound once
-# at import, so building one makes no ``__setattr__`` lookups.  Setting or
-# deleting an attribute afterwards raises ``AttributeError``;
-# ``object.__setattr__`` still reaches a slot, for code that patches one on
-# purpose.  Each class pickles and copies through its constructor.
+# Jets, their matrices and tuples are slotted classes whose constructors
+# fill each slot through its setter, bound once at import, so building one
+# in a kernel loop makes no ``__setattr__`` lookups.  The records
+# (``_Record``: the suite's results and configuration, and
+# ``DivergenceClass``) are built once a trial at most, and fill their slots
+# in order through ``object.__setattr__``.  Setting or deleting an attribute
+# afterwards raises ``AttributeError``; ``object.__setattr__`` still reaches
+# a slot, for code that patches one on purpose.  Each class pickles and
+# copies through its constructor.
 
 
 class _Frozen:
@@ -643,6 +646,10 @@ class _Record(_Frozen):
     """A frozen record, compared, hashed, shown and pickled by its slots in order."""
 
     __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -42,7 +42,7 @@ from .fields import (
     random_divergence_free,
     random_field,
 )
-from .jets import Jet, _cost_guard, _Record, _setters, _shown
+from .jets import Jet, _cost_guard, _Record, _shown
 from .maps import (
     FormalMap,
     _rand_monomial,
@@ -54,16 +54,14 @@ from .maps import (
 from .rationals import Q
 
 Inputs = Mapping[str, tuple]
+Side = tuple  # (name, lhs, rhs): one comparison that decides a trial
 
 
 class Outcome(_Record):
     __slots__ = ("passed", "verdict_order", "detail")
 
     def __init__(self, passed: bool, verdict_order: int, detail: str = "") -> None:
-        set_passed, set_verdict_order, set_detail = _OUTCOME_SETTERS
-        set_passed(self, passed)
-        set_verdict_order(self, verdict_order)
-        set_detail(self, detail)
+        self._fill(passed, verdict_order, detail)
 
 
 class IdentityCheck(_Record):
@@ -79,22 +77,12 @@ class IdentityCheck(_Record):
         statement: str,
         min_order: int,
         generate: Callable[[random.Random, int, int], Inputs],
-        evaluate: Callable[[int, int, Inputs], Outcome],
+        evaluate: Callable[[int, int, Inputs], tuple[int, list[Side]]],
         arity: tuple[int, int],  # the (maps, fields) counts ``generate`` returns
         n_only: Optional[int] = None,
         control: Optional[Callable[[int, int], "ControlResult"]] = None,
     ) -> None:
-        (set_ident, set_name, set_statement, set_min_order, set_generate, set_evaluate,
-         set_arity, set_n_only, set_control) = _IDENTITY_CHECK_SETTERS
-        set_ident(self, ident)
-        set_name(self, name)
-        set_statement(self, statement)
-        set_min_order(self, min_order)
-        set_generate(self, generate)
-        set_evaluate(self, evaluate)
-        set_arity(self, arity)
-        set_n_only(self, n_only)
-        set_control(self, control)
+        self._fill(ident, name, statement, min_order, generate, evaluate, arity, n_only, control)
 
     def applicable(self, n: int) -> bool:
         return self.n_only is None or n == self.n_only
@@ -105,12 +93,7 @@ class TrialResult(_Record):
 
     def __init__(self, seed: int, passed: bool, verdict_order: int, ms: float,
                  payload: Optional[dict] = None) -> None:
-        set_seed, set_passed, set_verdict_order, set_ms, set_payload = _TRIAL_RESULT_SETTERS
-        set_seed(self, seed)
-        set_passed(self, passed)
-        set_verdict_order(self, verdict_order)
-        set_ms(self, ms)
-        set_payload(self, payload)
+        self._fill(seed, passed, verdict_order, ms, payload)
 
 
 class ControlResult(_Record):
@@ -118,14 +101,7 @@ class ControlResult(_Record):
 
     def __init__(self, kind: str, expected_fail: bool, failed: bool, verdict_order: int,
                  ms: float, witness: Optional[dict] = None) -> None:
-        (set_kind, set_expected_fail, set_failed, set_verdict_order, set_ms,
-         set_witness) = _CONTROL_RESULT_SETTERS
-        set_kind(self, kind)
-        set_expected_fail(self, expected_fail)
-        set_failed(self, failed)
-        set_verdict_order(self, verdict_order)
-        set_ms(self, ms)
-        set_witness(self, witness)
+        self._fill(kind, expected_fail, failed, verdict_order, ms, witness)
 
     @property
     def ok(self) -> bool:
@@ -137,12 +113,7 @@ class CellResult(_Record):
 
     def __init__(self, check: str, n: int, order: int, trials: tuple[TrialResult, ...],
                  controls: tuple[ControlResult, ...] = ()) -> None:
-        set_check, set_n, set_order, set_trials, set_controls = _CELL_RESULT_SETTERS
-        set_check(self, check)
-        set_n(self, n)
-        set_order(self, order)
-        set_trials(self, trials)
-        set_controls(self, controls)
+        self._fill(check, n, order, trials, controls)
 
     @property
     def failed_trials(self) -> int:
@@ -151,13 +122,6 @@ class CellResult(_Record):
     @property
     def unexpected(self) -> int:
         return self.failed_trials + sum(1 for c in self.controls if not c.ok)
-
-
-_OUTCOME_SETTERS = _setters(Outcome)
-_IDENTITY_CHECK_SETTERS = _setters(IdentityCheck)
-_TRIAL_RESULT_SETTERS = _setters(TrialResult)
-_CONTROL_RESULT_SETTERS = _setters(ControlResult)
-_CELL_RESULT_SETTERS = _setters(CellResult)
 
 
 # -- generators ------------------------------------------------------------------
@@ -259,94 +223,90 @@ def _gen_c10(rng: random.Random, n: int, order: int) -> Inputs:
 
 
 # -- evaluators ------------------------------------------------------------------
+#
+# Each evaluator returns its verdict order and its sides, the comparisons
+# (name, lhs, rhs) that decide the trial; ``_verdict`` turns them into the
+# outcome.  A predicate (C9's centralizer and grid, C10's kernel) is a side
+# (name, truth value, True).
 
 
-def _eval_c1(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c1(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     s, t = inputs["maps"]
-    st = s.compose(t)
-    lhs = st.jacobian_matrix()
+    lhs = s.compose(t).jacobian_matrix()
     rhs = s.jacobian_matrix() @ s.apply_matrix(t.jacobian_matrix())
-    return Outcome(lhs == rhs, order - 1)
+    return order - 1, [("jacobian-chain", lhs, rhs)]
 
 
-def _eval_c2(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c2(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     s, t = inputs["maps"]
-    st = s.compose(t)
-    lhs = st.jacobian_det()
+    lhs = s.compose(t).jacobian_det()
     rhs = s.jacobian_det() * s.apply(t.jacobian_det())
-    return Outcome(lhs == rhs, order - 1)
+    return order - 1, [("det-cocycle", lhs, rhs)]
 
 
-def _eval_c3(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c3(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     (s,) = inputs["maps"]
     inv = s.invert()
     js, jinv = s.jacobian_matrix(), inv.jacobian_matrix()
-    ok = jinv == inv.apply_matrix(matrix_inverse(js))
-    ok = ok and jinv.det() == inv.apply(js.det().invert_unit())
-    return Outcome(ok, order - 1)
+    return order - 1, [
+        ("inverse-jacobian", jinv, inv.apply_matrix(matrix_inverse(js))),
+        ("inverse-det", jinv.det(), inv.apply(js.det().invert_unit())),
+    ]
 
 
-def _eval_c4(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c4(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     (s,) = inputs["maps"]
     jinv = matrix_inverse(s.jacobian_matrix())
-    ok = True
-    for i in range(n):
-        total = Jet.zero(n, order - 2)
-        for j in range(n):
-            total = total + jinv.rows[i][j].partial_derivative(j + 1)
-        ok = ok and total.is_zero
-    return Outcome(ok, order - 2)
+    zero = Jet.zero(n, order - 2)
+    return order - 2, [
+        (f"piola-row-{i}", sum((e.partial_derivative(j) for j, e in enumerate(row, 1)), zero),
+         zero)
+        for i, row in enumerate(jinv.rows, 1)
+    ]
 
 
-def _divergence_equivariance_sides(
-    s: FormalMap, f: Derivation, jinv=None
-) -> tuple[Jet, Jet, int]:
-    k = s.order - 2
+def _divergence_equivariance_side(s: FormalMap, f: Derivation, jinv=None) -> Side:
     lhs = pushforward(s, f, jinv).divergence()
-    rhs = s.apply(f.divergence()).truncate(k)
-    return lhs, rhs, k
+    rhs = s.apply(f.divergence()).truncate(s.order - 2)
+    return "div-equivariance", lhs, rhs
 
 
-def _eval_c5(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c5(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     (s,) = inputs["maps"]
     (f,) = inputs["fields"]
-    lhs, rhs, k = _divergence_equivariance_sides(s, f)
-    return Outcome(lhs == rhs, k)
+    return order - 2, [_divergence_equivariance_side(s, f)]
 
 
-def _eval_c6(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c6(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     f, g, fc, gc = inputs["fields"]
-    k = order - 2
-    lhs = f.bracket(g).divergence()
-    rhs = f.apply(g.divergence()) - g.apply(f.divergence())
-    ok = lhs == rhs
-    ok = ok and fc.bracket(gc).divergence().is_zero
-    return Outcome(ok, k)
+    return order - 2, [
+        ("bracket-divergence", f.bracket(g).divergence(),
+         f.apply(g.divergence()) - g.apply(f.divergence())),
+        ("const-div-closure", fc.bracket(gc).divergence(), Jet.zero(n, order - 2)),
+    ]
 
 
-def _eval_c7(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c7(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     s, t = inputs["maps"]
     f, g = inputs["fields"]
     jinv_s = matrix_inverse(s.jacobian_matrix())
-    lhs1 = pushforward(s, f.bracket(g), jinv_s)
-    rhs1 = pushforward(s, f, jinv_s).bracket(pushforward(s, g, jinv_s))
-    ok = lhs1.truncate(order - 2) == rhs1
-    lhs2 = pushforward(s.compose(t), f)
-    rhs2 = pushforward(s, pushforward(t, f), jinv_s)
-    ok = ok and lhs2 == rhs2
-    return Outcome(ok, order - 2)
+    return order - 2, [
+        ("push-bracket", pushforward(s, f.bracket(g), jinv_s).truncate(order - 2),
+         pushforward(s, f, jinv_s).bracket(pushforward(s, g, jinv_s))),
+        ("push-compose", pushforward(s.compose(t), f),
+         pushforward(s, pushforward(t, f), jinv_s)),
+    ]
 
 
-def _eval_c8(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c8(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     (s,) = inputs["maps"]
     frame = coordinate_frame(s)
     k = order - 1
-    ok = all(
-        frame[i].apply(s.images[j]) == Jet.constant(n, k, 1 if i == j else 0)
+    return k, [
+        (f"frame-{i + 1}-{j + 1}", frame[i].apply(s.images[j]), Jet.constant(n, k, int(i == j)))
         for i in range(n)
         for j in range(n)
-    )
-    return Outcome(ok, k)
+    ]
 
 
 def _scaled_translation_fields(n: int, order: int, lam) -> list[Derivation]:
@@ -365,21 +325,12 @@ def _noncommutation_holds(n: int, order: int, lam) -> bool:
     k = order - 1
     # [G_i, G_j] = lam_j d_j - lam_i d_i
     plus = [Jet.constant(n, k, c) for c in lam]
-    minus = [-c for c in plus]
     zero = Jet.zero(n, k)
-    saw_nonzero = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = gs[i].bracket(gs[j])
-            expected_coeffs = [zero] * n
-            expected_coeffs[i], expected_coeffs[j] = minus[i], plus[j]
-            expected = Derivation(n, k, tuple(expected_coeffs))
-            if br != expected:
-                return False
-            if not expected.is_zero:
-                saw_nonzero = True
-    if any(lam) and not saw_nonzero:
-        return False
+    for i, j in itertools.combinations(range(n), 2):
+        expected = [zero] * n
+        expected[i], expected[j] = -plus[i], plus[j]
+        if gs[i].bracket(gs[j]) != Derivation(n, k, tuple(expected)):
+            return False
     return True
 
 
@@ -393,15 +344,19 @@ def _grid_noncommutation_ok(n: int, order: int) -> bool:
     )
 
 
-def _eval_c9(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c9(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     const_f, nonconst_f, lam_f = inputs["fields"]
-    ok = centralizes_partials(const_f)
-    ok = ok and not centralizes_partials(nonconst_f)
+    sides = [
+        ("const-centralizes", centralizes_partials(const_f), True),
+        ("nonconst-escapes", not centralizes_partials(nonconst_f), True),
+    ]
     if n >= 2:
-        ok = ok and _grid_noncommutation_ok(n, order)
         lam = [c.constant_term for c in lam_f.coefficients]
-        ok = ok and _noncommutation_holds(n, order, lam)
-    return Outcome(ok, order - 1)
+        sides += [
+            ("grid-noncommutation", _grid_noncommutation_ok(n, order), True),
+            ("trial-noncommutation", _noncommutation_holds(n, order, lam), True),
+        ]
+    return order - 1, sides
 
 
 @functools.lru_cache(maxsize=None)
@@ -427,14 +382,24 @@ def _univariate_kernel_ok(order: int) -> bool:
     return True
 
 
-def _eval_c10(n: int, order: int, inputs: Inputs) -> Outcome:
+def _eval_c10(n: int, order: int, inputs: Inputs) -> tuple[int, list[Side]]:
     affine, curved = inputs["fields"]
-    ok = _univariate_kernel_ok(order)
-    verdict = classify_divergence(affine)
-    ok = ok and verdict.is_constant
-    ok = ok and verdict.value == affine.coefficients[0].coefficient((1,))
-    ok = ok and classify_divergence(curved).kind == "nonconstant"
-    return Outcome(ok, order - 1)
+    # The divergence of (a + b x) d is b; a value of None says "nonconstant".
+    return order - 1, [
+        ("univariate-kernel", _univariate_kernel_ok(order), True),
+        ("affine-divergence", classify_divergence(affine).value,
+         affine.coefficients[0].coefficient((1,))),
+        ("curved-nonconstant", classify_divergence(curved).kind, "nonconstant"),
+    ]
+
+
+def _verdict(k: int, sides: list[Side]) -> Outcome:
+    """The outcome of a trial decided at order ``k``: it passes when each
+    side's halves are equal, and otherwise names the first side that differs."""
+    for name, lhs, rhs in sides:
+        if lhs != rhs:
+            return Outcome(False, k, name)
+    return Outcome(True, k)
 
 
 # -- the C5 negative control -------------------------------------------------------
@@ -473,7 +438,7 @@ def _c5_control(n: int, order: int) -> ControlResult:
     jinv = matrix_inverse(s.jacobian_matrix())
     witness = None
     for fld in _witness_basis(n, order):
-        lhs, rhs, k = _divergence_equivariance_sides(s, fld, jinv)
+        _, lhs, rhs = _divergence_equivariance_side(s, fld, jinv)
         if lhs != rhs:
             witness = {
                 "map": s.to_dict(),
@@ -619,12 +584,8 @@ class SuiteConfig(_Record):
     def __init__(self, checks: tuple[str, ...] = CHECK_IDS, n_list: tuple[int, ...] = (1, 2, 3),
                  order_list: tuple[int, ...] = (3, 4, 5), trials: int = 100,
                  seed: int = 0) -> None:
-        set_checks, set_n_list, set_order_list, set_trials, set_seed = _SUITE_CONFIG_SETTERS
-        set_checks(self, _as_tuple("checks", checks))
-        set_n_list(self, _as_tuple("n_list", n_list))
-        set_order_list(self, _as_tuple("order_list", order_list))
-        set_trials(self, trials)
-        set_seed(self, seed)
+        self._fill(_as_tuple("checks", checks), _as_tuple("n_list", n_list),
+                   _as_tuple("order_list", order_list), trials, seed)
 
     def validate(self) -> None:
         if not self.checks:
@@ -679,9 +640,6 @@ class SuiteConfig(_Record):
         }
 
 
-_SUITE_CONFIG_SETTERS = _setters(SuiteConfig)
-
-
 def trial_seed(master: int, check: str, n: int, order: int, index: int) -> int:
     digest = hashlib.sha256(
         f"{master}|{check}|{n}|{order}|{index}".encode()
@@ -702,7 +660,7 @@ def run_check(check: str, n: int, order: int, seed: int) -> TrialResult:
     rng = random.Random(seed)
     t0 = time.perf_counter()
     inputs = cd.generate(rng, n, order)
-    outcome = cd.evaluate(n, order, inputs)
+    outcome = _verdict(*cd.evaluate(n, order, inputs))
     ms = (time.perf_counter() - t0) * 1000.0
     payload = None
     if not outcome.passed:
@@ -734,7 +692,7 @@ def rerun_payload(payload: Mapping) -> Outcome:
     if any(x.n != n or x.order != order for xs in inputs.values() for x in xs):
         raise ConfigError(f"payload inputs must live at n = {n}, order = {order}")
     try:
-        return cd.evaluate(n, order, inputs)
+        return _verdict(*cd.evaluate(n, order, inputs))
     except JetfieldsError as exc:
         # Inputs the check cannot take, such as a map with no inverse.
         raise ConfigError(f"payload inputs are outside check {check}: {exc}") from None
@@ -746,9 +704,7 @@ class VerificationReport(_Record):
     __slots__ = ("config", "cells")
 
     def __init__(self, config: SuiteConfig, cells: tuple[CellResult, ...]) -> None:
-        set_config, set_cells = _VERIFICATION_REPORT_SETTERS
-        set_config(self, config)
-        set_cells(self, cells)
+        self._fill(config, cells)
 
     @property
     def trial_count(self) -> int:
@@ -835,9 +791,6 @@ class VerificationReport(_Record):
             )
         lines.append(self.summary_line())
         return "\n".join(lines)
-
-
-_VERIFICATION_REPORT_SETTERS = _setters(VerificationReport)
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> VerificationReport:

@@ -12,8 +12,9 @@ Each row makes one conjunct of one evaluator false, by one of two means:
 
 Each row then follows the failure path end to end: the trial fails at its
 usual verdict order, its report row carries the rerun payload,
-``rerun_payload`` fails under the fault (and passes without it, unless the
-input is off-class), and ``jetfields verify`` exits 1.  C9's grid and
+``rerun_payload`` fails under the fault and names the row's side, the only
+one of the evaluator's sides that differs (it passes without the fault,
+unless the input is off-class), and ``jetfields verify`` exits 1.  C9's grid and
 C10's kernel are cached per cell, so every row clears both caches before
 and after it runs.
 """
@@ -150,9 +151,8 @@ COMPOSE_TOP = (FormalMap, "compose", _returns(_top_image))
 # -- off-class inputs -------------------------------------------------------------------
 
 
-def _bumped_map(n: int, order: int, i: int) -> FormalMap:
-    """x_i -> x_i + x_i x_j for one j != i: the Piola identity fails in row i only."""
-    j = (i + 1) % n
+def _bumped_map(n: int, order: int, i: int, j: int) -> FormalMap:
+    """x_i -> x_i + x_i x_j (0-based, i != j): the Piola identity fails in row j + 1 only."""
     images = [Jet.variable(n, order, k + 1) for k in range(n)]
     images[i] = images[i] + Jet.monomial(n, order, [int(k in (i, j)) for k in range(n)], 1)
     return FormalMap(n, order, tuple(images))
@@ -194,9 +194,9 @@ ROWS = [
     fault_row("C2", 2, 3, "det-cocycle", COMPOSE_TOP),
     fault_row("C3", 2, 3, "inverse-jacobian", (suite, "matrix_inverse", _returns(_top_entry))),
     fault_row("C3", 2, 3, "inverse-det", (Jet, "invert_unit", _returns(_top))),
-    off_class_row("C4", 2, 3, "piola-row-1", _with_map(negative_control_map)),
-    off_class_row("C4", 2, 3, "piola-row-2", _with_map(lambda n, order: _bumped_map(n, order, 1))),
-    off_class_row("C4", 3, 3, "piola-row-3", _with_map(lambda n, order: _bumped_map(n, order, 2))),
+    off_class_row("C4", 2, 3, "piola-row-1", _with_map(lambda n, k: _bumped_map(n, k, 1, 0))),
+    off_class_row("C4", 2, 3, "piola-row-2", _with_map(negative_control_map)),
+    off_class_row("C4", 3, 3, "piola-row-3", _with_map(lambda n, k: _bumped_map(n, k, 0, 2))),
     off_class_row("C5", 2, 3, "div-equivariance", lambda n, order, inputs: {
         "maps": (negative_control_map(n, order),), "fields": (partial_field(n, order, n),)}),
     fault_row("C6", 2, 3, "bracket-divergence", (Jet, "__sub__", _returns(_top))),
@@ -220,8 +220,8 @@ ROWS = [
     fault_row("C10", 1, 3, "univariate-kernel", (suite, "classify_divergence", _reclassify(
         lambda v: v.kind == "zero" and DivergenceClass("nonconstant", None, v.verdict_order))),
         seed=1),
-    off_class_row("C10", 1, 3, "affine-constant", _fields(1, 1)),
-    fault_row("C10", 1, 3, "affine-value", (suite, "classify_divergence", _reclassify(
+    off_class_row("C10", 1, 3, "affine-divergence", _fields(1, 1)),
+    fault_row("C10", 1, 3, "affine-divergence", (suite, "classify_divergence", _reclassify(
         lambda v: v.kind == "constant"
         and DivergenceClass("constant", v.value + 1, v.verdict_order))), seed=1),
     off_class_row("C10", 1, 3, "curved-nonconstant", _fields(0, 0)),
@@ -261,8 +261,12 @@ def test_check_fails_and_round_trips(row, monkeypatch, capsys, clean_caches):
     assert all(control["ms"] >= 0 for control in timed.get("controls", ()))
 
     outcome = rerun_payload(payload)
-    assert not outcome.passed
-    assert outcome.verdict_order == verdict
+    assert (outcome.passed, outcome.verdict_order, outcome.detail) == (False, verdict, row.side)
+    # The row's side is the only one that differs.
+    inputs = {"maps": tuple(FormalMap.from_dict(m) for m in payload["maps"]),
+              "fields": tuple(Derivation.from_dict(f) for f in payload["fields"])}
+    _, sides = CHECKS[row.check].evaluate(row.n, row.order, inputs)
+    assert [name for name, lhs, rhs in sides if lhs != rhs] == [row.side]
 
     argv = ["verify", "--checks", row.check, "--n-list", str(row.n), "--order-list",
             str(row.order), "--trials", "1", "--seed", str(row.seed), "--json"]
