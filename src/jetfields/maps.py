@@ -327,14 +327,13 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> "Q":
 
 def _rand_monomial(
     rng: random.Random, n: int, lo: int, hi: int, avoid: int | None = None
-) -> Monomial | None:
-    """A random exponent tuple of total degree in [lo, hi], or None if impossible.
+) -> Monomial:
+    """A random exponent tuple of total degree in [lo, hi], for lo <= hi.
 
-    ``avoid`` is a 0-based variable index that must not appear.
+    ``avoid`` is a 0-based variable index that must not appear; some other
+    variable must remain.
     """
     allowed = [j for j in range(n) if j != avoid]
-    if not allowed or hi < lo:
-        return None
     degree = rng.randint(lo, hi)
     exps = [0] * n
     for _ in range(degree):
@@ -365,10 +364,8 @@ def _rand_jet(rng: random.Random, n: int, order: int, lo: int, count: int,
     w = _width(order)
     num: dict[int, int] = {}
     for _ in range(count):
-        exps = _rand_monomial(rng, n, lo, order, avoid)
-        if exps is not None:
-            key = _pack(exps, w)
-            num[key] = num.get(key, 0) + _rand_numerator(rng, nonzero)
+        key = _pack(_rand_monomial(rng, n, lo, order, avoid), w)
+        num[key] = num.get(key, 0) + _rand_numerator(rng, nonzero)
     return _sampled_jet(n, order, num)
 
 

@@ -30,6 +30,7 @@ from jetfields import (
     JetMatrix,
     NotContinuous,
     OrderMismatch,
+    PrecisionExhausted,
     Q,
     SuiteConfig,
     matrix_inverse,
@@ -649,6 +650,11 @@ def _coords(cls, n: int, order: int):
     return cls(n, order, tuple(_var(n, order, i) for i in range(1, n + 1)))
 
 
+def _zero_field() -> Derivation:
+    """The zero field in one variable at order 0, where no derivative is known."""
+    return Derivation(1, 0, (Jet.zero(1, 0),))
+
+
 def _term_jet(field: str, value) -> dict:
     """The payload of x1 at order 2 with its term's ``field`` set to ``value``."""
     return {"n": 1, "order": 2, "terms": [{"exp": [1], "num": "1", "den": "1", field: value}]}
@@ -751,6 +757,38 @@ VALUE_TYPE_ERRORS = [
      "trials=1000000000000 is too costly: at most 10000 trials a cell are admitted"),
     (lambda: SuiteConfig(trials=_HUGE).validate(), ConfigError,
      "trials=<int too long to print> is too costly: at most 10000 trials a cell are admitted"),
+    # The Python API's own checks on rings, indices and operands.
+    (lambda: _coords(Derivation, 2, 2).apply(_var(3, 2, 1)),
+     DimensionMismatch, "cannot apply a field on 2 variables to a jet on 3"),
+    (lambda: _coords(Derivation, 2, 2).bracket(_coords(Derivation, 3, 2)),
+     DimensionMismatch, "cannot bracket fields on 2 and 3 variables"),
+    (lambda: _zero_field().bracket(_zero_field()),
+     PrecisionExhausted, "bracket needs both fields at order >= 1"),
+    (lambda: _zero_field().divergence(),
+     PrecisionExhausted, "divergence needs coefficients of order >= 1"),
+    (lambda: _coords(Derivation, 2, 2) + _var(2, 2, 1),
+     TypeError, "unsupported operand type(s) for +: 'Derivation' and 'Jet'"),
+    (lambda: _coords(Derivation, 2, 2) + _coords(Derivation, 3, 2),
+     DimensionMismatch, "cannot add fields on different variable counts"),
+    (lambda: _coords(Derivation, 2, 2) * None,
+     TypeError, "unsupported operand type(s) for *: 'Derivation' and 'NoneType'"),
+    (lambda: partial_field(2, 3, 3), IndexError, "variable index 3 out of range 1..2"),
+    (lambda: Jet.variable(2, 3, 0), IndexError, "variable index 0 out of range 1..2"),
+    (lambda: Jet.variable(2, 0, 1), PrecisionExhausted, "a coordinate jet needs order >= 1"),
+    (lambda: Jet.constant(1, 2, None),
+     TypeError, "cannot interpret None as an exact rational"),
+    (lambda: _var(2, 2, 1) + None,
+     TypeError, "unsupported operand type(s) for +: 'Jet' and 'NoneType'"),
+    (lambda: _var(2, 2, 1) - None,
+     TypeError, "unsupported operand type(s) for -: 'Jet' and 'NoneType'"),
+    (lambda: JetMatrix(((1,),)), TypeError, "matrix entries must be jets, got 1"),
+    (lambda: identity_matrix(2, 2) @ 1, TypeError, "expected a JetMatrix, got 1"),
+    (lambda: identity_matrix(2, 2) @ identity_matrix(1, 2),
+     DimensionMismatch, "matrix sizes differ (2 vs 1)"),
+    (lambda: _coords(FormalMap, 2, 2).apply(_var(3, 2, 1)),
+     DimensionMismatch, "jet in 3 variables cannot be pulled back along a map on 2"),
+    (lambda: _coords(FormalMap, 2, 2).compose(_coords(FormalMap, 3, 2)),
+     DimensionMismatch, "cannot compose maps on 2 and 3 variables"),
 ]
 
 
@@ -768,6 +806,7 @@ def test_value_types_round_trip_and_compare():
     assert repr(sigma) == "<FormalMap n=2 order=3: x1 -> x1; x2 -> x2>"
     assert repr(field) == "<Derivation n=2 order=3: (x1)*d1 + (x2)*d2>"
     assert (sigma == field) is False and (field == sigma) is False
+    assert (_var(2, 3, 1) == 1) is False and (identity_matrix(2, 3) == 1) is False
     for value in (sigma, field):
         cls = type(value)
         assert cls.from_dict(value.to_dict()) == value

@@ -15,7 +15,9 @@ The cases cover ``substitute`` (with images below f's order), ``compose``,
 ``bracket``, and the three operations built on the relaxed lift:
 ``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``.  They
 run at small orders and across the 15 <-> 16 key-layout boundary, where a
-lifted operand is repacked.
+lifted operand is repacked.  The suite's evaluators are checked for
+soundness too: each side of a trial holds through the trial's verdict order
+when its inputs are lifted.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from hypothesis import strategies as st
 
 from conftest import seeded_rng
 from jetfields import (
+    CHECK_IDS,
+    CHECKS,
     Derivation,
     FormalMap,
     Jet,
@@ -211,3 +215,29 @@ def test_claims_are_tight(name, orders):
         first, second = (op(*[lift(rng, a) for a in args]) for _ in range(2))
         moved += not first.equal_at(second, claim + 1)
     assert moved
+
+
+# -- the suite's verdict orders ------------------------------------------------------
+
+SUITE_CELLS = ([(check, n, 4) for n in (2, 3) for check in CHECK_IDS if check != "C10"]
+               + [("C10", 1, 4)])
+
+
+@pytest.mark.parametrize("check, n, order", SUITE_CELLS)
+def test_suite_verdicts_are_sound(check, n, order):
+    # A trial's verdict order is a claim as well: each side of its evaluator
+    # agrees through it with the side computed from lifted inputs.  Sides
+    # that are truth values or rationals (C9, C10) carry no order.
+    cd = CHECKS[check]
+    for seed in range(3):
+        rng = seeded_rng(f"suite-{check}-{n}-{order}-{seed}")
+        inputs = cd.generate(rng, n, order)
+        verdict, sides = cd.evaluate(n, order, inputs)
+        lifted = {kind: tuple(lift(rng, v) for v in values) for kind, values in inputs.items()}
+        lifted_verdict, lifted_sides = cd.evaluate(n, order + 2, lifted)
+        assert lifted_verdict == verdict + 2
+        for (name, lhs, rhs), (lifted_name, *lifted_halves) in zip(sides, lifted_sides,
+                                                                  strict=True):
+            assert lifted_name == name
+            if isinstance(lhs, (Jet, JetMatrix, Derivation)):
+                assert all(h.equal_at(u, verdict) for h, u in zip(lifted_halves, (lhs, rhs))), name

@@ -6,8 +6,8 @@ sympy's expansion of the same polynomials, cut at the order the kernel
 claims, and every comparison also asserts that claimed order.  Map
 inversion is checked by composing with sympy's sparse polynomials, in both
 directions, and the flow of a field against its Lie series summed in sympy.
-The fraction-free ``linalg.det`` and ``linalg.inverse`` are compared with
-sympy's rational matrices.  The whole module is skipped where sympy is not
+The fraction-free ``linalg.det`` and ``linalg.inverse``, and
+``linalg.kernel_basis``, are compared with sympy's rational matrices.  The whole module is skipped where sympy is not
 installed.
 """
 
@@ -500,3 +500,29 @@ def test_linalg_on_singular_matrices():
     with pytest.raises(SingularMatrix,
                        match=r"^matrix is singular \(rank deficiency at column 1\)$"):
         linalg.inverse([[Q(1, 2), 1, 0], [1, 2, Q(1, 3)], [0, 0, 4]])
+
+
+@st.composite
+def kernel_inputs(draw):
+    # Independent-looking rows, then rows that combine them: a matrix with
+    # more rows than rank, or one with full row rank and columns to spare.
+    cols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(rationals(), min_size=cols, max_size=cols),
+                         min_size=1, max_size=3))
+    weights = draw(st.lists(st.lists(rationals(), min_size=len(base), max_size=len(base)),
+                            max_size=2))
+    extra = [[sum((w * row[j] for w, row in zip(ws, base)), Q(0)) for j in range(cols)]
+             for ws in weights]
+    return draw(st.permutations(base + extra)), cols
+
+
+@EXAMPLES
+@given(kernel_inputs())
+@example(([[Q(1), Q(2), Q(3)]], 3))  # full row rank before the last column
+@example(([[Q(1), Q(1)], [Q(1), Q(1)], [Q(0), Q(1)]], 2))  # elimination above a pivot
+def test_kernel_basis_matches_sympy(case):
+    a, cols = case
+    expected = [[Q(int(x.p), int(x.q)) for x in v]
+                for v in sympy.Matrix([[sympy.Rational(int(x.numerator), int(x.denominator))
+                                        for x in row] for row in a]).nullspace()]
+    assert linalg.kernel_basis(a, cols) == expected
