@@ -4,7 +4,8 @@ Each catalog entry states one identity of the Jacobian / divergence
 calculus, generates random inputs from a per-trial seed, evaluates both
 sides with exact arithmetic, and reports the verdict order: the largest
 truncation order at which the comparison is actually decided by the
-precision ledger, never assumed.
+precision ledger, never assumed.  A failing outcome names the first of
+its check's comparisons whose sides differ.
 
 Determinism: a trial's seed is derived by hashing
 ``master seed | check id | n | order | trial index``, so any failing
