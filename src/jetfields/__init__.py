@@ -46,7 +46,6 @@ from .fields import (
 from .jets import Jet, JetMatrix, Monomial
 from .maps import (
     FormalMap,
-    LinearPart,
     exp_flow,
     identity_map,
     matrix_inverse,
@@ -94,7 +93,6 @@ __all__ = [
     "Jet",
     "JetMatrix",
     "JetfieldsError",
-    "LinearPart",
     "Monomial",
     "NonConstantDivergence",
     "NotAUnit",

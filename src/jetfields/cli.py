@@ -202,8 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=seed,
     )
-    config.validate()
-    report = suite.run_suite(config)
+    report = suite.run_suite(config)  # validates the config before any trial
     if args.json:
         print(report.to_json())
     else:

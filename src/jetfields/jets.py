@@ -355,7 +355,7 @@ def _subst_terms(terms: dict, images: Sequence[tuple[list, int]], i: int, w: int
 
 class _Layers:
     """A power series held as its homogeneous parts, lowest degree first,
-    as ``FormalMap.invert`` and ``Jet.invert_unit`` lift them.
+    as ``FormalMap.invert``, their only user, lifts them (``_lift``).
 
     ``layers[d]`` is the degree-d part as a reduced (numerator items in no
     particular order, positive denominator) pair.  The layers a series
@@ -392,7 +392,7 @@ class _Layers:
 def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int) -> None:
     """Grow ``results`` through layer ``order``, one layer a round, with the
     series in ``nodes`` that they read: the relaxed lift of
-    ``FormalMap.invert`` and ``Jet.invert_unit``.
+    ``FormalMap.invert``, its only caller.
 
     ``nodes`` lists each series after every series it reads; the results
     come last and may read themselves and each other through links.  A
@@ -595,14 +595,38 @@ def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
     return _jet(n, k, *_reduce(num, den), w)
 
 
-def _scaled_layers(jet: "Jet", s: int, den: int) -> list[tuple[list, int]]:
-    """The jet's numerators times ``s``, split into degrees 0..order, each
-    part as (numerator items in no particular order, ``den``)."""
+def _linear_lift(c: Sequence[Sequence[tuple[list, int]]], v: Sequence[Sequence[list]],
+                 order: int) -> list[list[list]]:
+    """The layers 0..order of each entry of X = C + V X, lifted from C one
+    layer a round: the linear lift of ``maps.matrix_inverse`` and, as a
+    1 x 1 lift, of ``Jet.invert_unit``.
+
+    ``c[i][j]`` is the constant C[i][j] as a layer, and ``v[i][l]`` lists
+    the nonempty layers (b, layer) of V[i][l] (``_scaled_layers``), all of
+    degree b >= 1.  So layer k of X[i][j] is the sum of V[i][l]_b
+    X[l][j]_{k-b} over l and b: it reads only layers of X below k.  Each
+    entry's layer is one ``_layer_dot`` pass over plain lists of layers, so
+    each pair of terms of V and X is multiplied once.  No layer is read in
+    its own round, so the loop needs none of the scheduling of ``_lift``.
+    """
+    x = [[[layer] for layer in row] for row in c]
+    for k in range(1, order + 1):
+        for xi, vi in zip(x, v):
+            for j, s in enumerate(xi):
+                s.append(_layer_dot([(xa, p) for l, vl in enumerate(vi) for b, p in vl
+                                     if b <= k and (xa := x[l][j][k - b])[0]]))
+    return x
+
+
+def _scaled_layers(jet: "Jet", s: int, den: int) -> list[tuple[int, tuple[list, int]]]:
+    """The jet's numerators times ``s``, split by degree, as its nonempty
+    parts (b, (numerator items in no particular order, ``den``)) of degree
+    b >= 1, lowest first: the V entries of ``_linear_lift``."""
     shift = jet._w * jet.n
     parts: list[list] = [[] for _ in range(jet.order + 1)]
     for k, c in jet._num.items():
         parts[k >> shift].append((k, s * c))
-    return [(part, den) for part in parts]
+    return [(b, (part, den)) for b, part in enumerate(parts) if b and part]
 
 
 def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet":
@@ -951,8 +975,8 @@ class Jet(_Frozen):
 
         With this jet (c + r)/den, c its constant numerator, the inverse x
         solves x = den/c + u x for u = -r/c, which has no constant term, so
-        x is lifted one layer a round from den/c (``_lift``), one product's
-        worth of multiply-adds in all.
+        x is lifted one layer a round from den/c, the 1 x 1 case of
+        ``_linear_lift``, one product's worth of multiply-adds in all.
         """
         c = self._num.get(0)
         if not c:
@@ -960,10 +984,9 @@ class Jet(_Frozen):
         # den/c and u over |c|: layer denominators stay positive.
         sign = 1 if c > 0 else -1
         num, den = _reduce({0: sign * self._den}, abs(c))
-        x = _Layers([(list(num.items()), den)])
-        x.links = [(x, _Layers(_scaled_layers(self, -sign, abs(c))))]
-        _lift([], [x], self.order)
-        return _join_layers(self.n, self.order, x.layers)
+        [[x]] = _linear_lift([[(list(num.items()), den)]],
+                             [[_scaled_layers(self, -sign, abs(c))]], self.order)
+        return _join_layers(self.n, self.order, x)
 
     # serialization
 

@@ -4,14 +4,17 @@ Matrices are lists of lists of exact rationals or ints.  They are tiny
 (the variable count, or a handful of monomial coordinates), so what
 matters is exactness and little setup cost per call.
 
-``det`` and ``inverse`` scale each row to integers by the lcm of its
-denominators and eliminate fraction-free: each update is divided exactly
-by the previous pivot (Bareiss, Math. Comp. 22(103), 1968), and each row
-is kept from its current column on.  A scaled row is a nonzero multiple of
-the row that rational elimination holds, so both pick the same pivots.
-``inverse`` returns what elimination ends with, integers over one
-positive denominator, and builds no rationals.  ``kernel_basis`` stays
-on rationals.
+``det``, ``inverse`` and ``kernel_basis`` share one elimination
+(``_eliminate``).  It scales each row to integers by the lcm of its
+denominators and runs fraction-free Gauss-Jordan: each update is divided
+exactly by the previous pivot (Bareiss, Math. Comp. 22(103), 1968), and
+a column with no pivot is skipped.  A scaled row is a nonzero multiple of
+the row that rational elimination holds, so both pick the same pivots,
+and every pivot entry of the reduced rows equals the last pivot.  So
+``det`` is the last pivot over the row scales, ``inverse`` returns what
+elimination ends with, integers over one positive denominator, and
+``kernel_basis`` divides the reduced rows by the last pivot; only the
+kernel's entries are built as rationals.
 """
 
 from __future__ import annotations
@@ -35,27 +38,44 @@ def _integer_rows(a: Matrix) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def det(a: Matrix) -> "Q":
-    """Determinant by Bareiss elimination: the last pivot is the
-    determinant of the scaled rows, which the row scales divide."""
-    m, scales = _integer_rows(a)
-    n = len(m)
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on the integer rows ``m``, in place, over
+    their first ``ncols`` columns; returns the pivot columns, the sign of
+    the row swaps and the last pivot.
+
+    Pivot k goes to row k.  Each step updates every row but the pivot row,
+    which leaves all rows over the current pivot: a pivot row holds the
+    last pivot at its pivot column, the other rows hold 0 there.
+    """
+    pivots: list[int] = []
     sign, prev = 1, 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][0]), None)
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if m[r][col]), None)
         if pivot is None:
-            return Q(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+            continue
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
             sign = -sign
-        top = m[col]
-        p, tail = top[0], top[1:]
-        for r in range(col + 1, n):
-            row = m[r]
-            f = row[0]
-            m[r] = [(x * p - f * y) // prev for x, y in zip(row[1:], tail)]
+        pivot_row = m[top]
+        p = pivot_row[col]
+        for r, row in enumerate(m):
+            if r != top:
+                f = row[col]
+                m[r] = [(x * p - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = p
-    return Q(sign * prev, prod(scales))
+        pivots.append(col)
+    return pivots, sign, prev
+
+
+def det(a: Matrix) -> "Q":
+    """Determinant by elimination: the last pivot is the determinant of the
+    scaled rows up to the swaps' sign, and the row scales divide it."""
+    m, scales = _integer_rows(a)
+    pivots, sign, last = _eliminate(m, len(m))
+    if len(pivots) < len(m):
+        return Q(0)
+    return Q(sign * last, prod(scales))
 
 
 def inverse(a: Matrix) -> tuple[list[list[int]], int]:
@@ -63,66 +83,38 @@ def inverse(a: Matrix) -> tuple[list[list[int]], int]:
     fraction-free Gauss-Jordan; raises SingularMatrix when the rank drops.
 
     The scaled rows D a are augmented with D, the diagonal of the scales,
-    so they solve (D a) X = D for X = a^-1.  Each step updates every row
-    but the pivot row, which leaves all rows over the current pivot; after
-    the last step the augmented block is the last pivot times X.  X / d
-    need not be reduced.
+    so they solve (D a) X = D for X = a^-1.  After the last step the
+    augmented block is the last pivot times X.  X / d need not be reduced.
     """
     m, scales = _integer_rows(a)
     n = len(m)
     for i, row in enumerate(m):
         row.extend(scales[i] if j == i else 0 for j in range(n))
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][0]), None)
-        if pivot is None:
-            raise SingularMatrix(f"matrix is singular (rank deficiency at column {col})")
-        m[col], m[pivot] = m[pivot], m[col]
-        top = m[col]
-        p, tail = top[0], top[1:]
-        for r in range(n):
-            row = m[r]
-            if r == col:
-                m[r] = tail
-            else:
-                f = row[0]
-                m[r] = [(x * p - f * y) // prev for x, y in zip(row[1:], tail)]
-        prev = p
-    if prev < 0:
-        return [[-x for x in row] for row in m], -prev
-    return m, prev
+    pivots, _, last = _eliminate(m, n)
+    if len(pivots) < n:
+        col = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrix(f"matrix is singular (rank deficiency at column {col})")
+    if last < 0:
+        return [[-x for x in row[n:]] for row in m], -last
+    return [row[n:] for row in m], last
 
 
 def kernel_basis(a: Matrix, ncols: int) -> list[Vector]:
     """A canonical basis of the right kernel of ``a`` (ncols columns).
 
-    ``a`` is brought to reduced row echelon form.  Each basis vector has a
+    ``a`` is brought to reduced row echelon form, which is the rows that
+    ``_eliminate`` leaves over its last pivot.  Each basis vector has a
     1 in one free column and the forced pivot entries elsewhere; vectors
     are ordered by free column index.
     """
-    m = [row[:] for row in a]
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = Q(1) / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
+    m, _ = _integer_rows(a)
+    pivots, _, last = _eliminate(m, ncols)
     basis = []
     for f in range(ncols):
         if f not in pivots:
             v = [Q(0)] * ncols
             v[f] = Q(1)
             for r, p in enumerate(pivots):
-                v[p] = -m[r][f]
+                v[p] = Q(-m[r][f], last)
             basis.append(v)
     return basis

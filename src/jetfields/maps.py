@@ -40,14 +40,12 @@ from .errors import (
     SingularMatrix,
 )
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
-                   _jet, _join_layers, _Layers, _layer_dot, _lift, _pack, _reduce,
+                   _jet, _join_layers, _Layers, _lift, _linear_lift, _pack, _reduce,
                    _relaxed_terms, _scaled_layers, _setters, _width)
 from .rationals import Q
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fields import Derivation
-
-LinearPart = list[list["Q"]]
 
 
 class FormalMap(JetTuple):
@@ -101,11 +99,6 @@ class FormalMap(JetTuple):
         n, w = self.n, _width(self.order)
         xs = [1 << (w * n) | 1 << (w * (n - 1 - j)) for j in range(n)]
         return xs, [[img._num.get(k, 0) for k in xs] for img in self.images]
-
-    def linear_part(self) -> LinearPart:
-        """The matrix A with image_i = sum_j A[i][j] x_j + higher order."""
-        rows = self._degree_one()[1]
-        return [[Q(c, img._den) for c in row] for row, img in zip(rows, self.images)]
 
     @property
     def is_automorphism(self) -> bool:
@@ -216,10 +209,8 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     With C the constant matrix, M X = I reads X = C^-1 + V X, where
     V = I - C^-1 M has no constant term.  So layer k of X[i][j] is the sum
     of V[i][l]_b X[l][j]_{k-b} over l and b >= 1: it reads only layers of X
-    below k.  X is built from C^-1 one layer a round, each entry's layer
-    one ``_layer_dot`` pass over plain lists of layers, so each pair of
-    terms of V and X is multiplied once.  No layer is read in its own
-    round, so the loop needs none of the scheduling of ``jets._lift``.
+    below k, and X is built from C^-1 one layer a round
+    (``jets._linear_lift``), each pair of terms of V and X multiplied once.
 
     Newton doubling, X <- X + X(I - MX), does more work here.  Products are
     schoolbook, so its asymptotic advantage does not apply, and the
@@ -240,16 +231,9 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
                              for row, s in zip(m.rows, scales)])
     c = [[_reduce({0: v * s} if v else {}, d) for v, s in zip(row, scales)] for row in inv]
     cinv = JetMatrix(tuple(tuple(_jet(n, order, num, den, w) for num, den in row) for row in c))
-    # V, split off C^-1 M by degree and negated, as its nonempty layers
-    # (b, layer) of degree b >= 1 in each entry.
-    v = [[[(b, p) for b, p in enumerate(_scaled_layers(e, -1, e._den)) if b and p[0]]
-          for e in row] for row in (cinv @ m).rows]
-    x = [[[(list(num.items()), den)] for num, den in row] for row in c]
-    for k in range(1, order + 1):
-        for xi, vi in zip(x, v):
-            for j, s in enumerate(xi):
-                s.append(_layer_dot([(xa, p) for l, vl in enumerate(vi) for b, p in vl
-                                     if b <= k and (xa := x[l][j][k - b])[0]]))
+    # V, split off C^-1 M by degree and negated.
+    v = [[_scaled_layers(e, -1, e._den) for e in row] for row in (cinv @ m).rows]
+    x = _linear_lift([[(list(num.items()), den) for num, den in row] for row in c], v, order)
     return JetMatrix(tuple(tuple(_join_layers(n, order, s) for s in row) for row in x))
 
 

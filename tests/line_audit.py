@@ -1,4 +1,5 @@
-"""Print the lines of ``src/jetfields/`` that a tier-1 run never executes.
+"""Print the lines of ``src/jetfields/`` that a tier-1 run never executes,
+and fail on any that is not known to run only outside the traced process.
 
 Runs the tier-1 tests in this process under a ``sys.settrace`` hook that
 records each line run in a frame whose code lives in ``src/jetfields/``,
@@ -12,7 +13,11 @@ traced run takes several times as long as a plain one.
 
     PYTHONPATH=src python tests/line_audit.py [extra pytest arguments]
 
-The exit status is pytest's; unexecuted lines alone do not fail the run.
+The lines that only a subprocess or a type checker runs are listed in
+``KNOWN`` by file and stripped text, not by line number, so edits around
+them do not move them.  The exit status is pytest's when pytest fails,
+else 1 when a line outside ``KNOWN`` never runs: a new unexecuted line
+needs a test that runs it, or it goes.
 """
 
 from __future__ import annotations
@@ -25,6 +30,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "jetfields"
+
+KNOWN = frozenset({
+    # Run only as ``python -m jetfields``, in a subprocess.
+    ("src/jetfields/__main__.py", "from .cli import entry"),
+    ("src/jetfields/__main__.py", 'if __name__ == "__main__":'),
+    ("src/jetfields/__main__.py", "entry()"),
+    # ``cli.main``'s default argv, and the console entry point.
+    ("src/jetfields/cli.py", "argv = sys.argv[1:]"),
+    ("src/jetfields/cli.py", "sys.exit(main())"),
+    # ``dir(jetfields)``, which interactive sessions call.
+    ("src/jetfields/__init__.py", "return sorted(set(globals()) | _SUITE_NAMES)"),
+    # The ``TYPE_CHECKING`` import in maps.py.
+    ("src/jetfields/maps.py", "from .fields import Derivation"),
+})
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -91,7 +110,7 @@ def main(argv: list[str]) -> int:
     if "jetfields" in sys.modules:
         raise SystemExit("line_audit: jetfields was imported before tracing began")
     code, hits = traced_run(argv)
-    total = 0
+    total, new = 0, 0
     for path in sorted(SRC.glob("*.py")):
         missing = sorted(executable_lines(path) - hits.get(str(path), set()))
         total += len(missing)
@@ -99,9 +118,11 @@ def main(argv: list[str]) -> int:
         rel = path.relative_to(ROOT)
         print(f"{rel}: {len(missing)} line{'s' if len(missing) != 1 else ''} never run")
         for line in missing:
-            print(f"  {rel}:{line}: {text[line - 1].strip()}")
-    print(f"{total} executable lines never run")
-    return code
+            known = (rel.as_posix(), text[line - 1].strip()) in KNOWN
+            new += not known
+            print(f"  {rel}:{line}: {text[line - 1].strip()}{'' if known else '  [NEW]'}")
+    print(f"{total} executable lines never run, {new} of them not known")
+    return code or int(new > 0)
 
 
 if __name__ == "__main__":

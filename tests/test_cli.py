@@ -300,8 +300,14 @@ def no_suite_run(config):
     raise AssertionError("run_suite must not start")
 
 
+def no_trial(*args):
+    raise AssertionError("no trial may start")
+
+
 def test_verify_refuses_a_costly_config_before_any_trial(capsys, monkeypatch):
-    monkeypatch.setattr("jetfields.suite.run_suite", no_suite_run)
+    # verify hands the config to run_suite, which validates it before its
+    # first trial.
+    monkeypatch.setattr("jetfields.suite.run_check", no_trial)
     for argv in (["verify", "--n-list", "12"],
                  ["verify", "--checks", "C9", "--n-list", "2,6", "--order-list", "2"],
                  ["verify", "--trials", "1000000000000"],

@@ -328,6 +328,12 @@ def test_sampled_maps_are_automorphisms():
                 assert cj.is_constant_jacobian()
 
 
+def _linear_part(fmap: FormalMap) -> list[list[Q]]:
+    """The matrix A with image_i = sum_j A[i][j] x_j + higher order."""
+    rows = fmap._degree_one()[1]
+    return [[Q(c, img._den) for c in row] for row, img in zip(rows, fmap.images)]
+
+
 def test_linear_part_matches_coefficients():
     def by_coefficient(fmap):
         unit = [tuple(int(k == j) for k in range(fmap.n)) for j in range(fmap.n)]
@@ -341,9 +347,9 @@ def test_linear_part_matches_coefficients():
             maps.append(random_const_jacobian(n, order, rng))
             maps.append(_random_shear(n, order, rng))
     for fmap in maps:
-        assert fmap.linear_part() == by_coefficient(fmap)
-    assert identity_map(3, 2).linear_part() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert _linear_map([[0, 0], [0, "5/7"]], 3).linear_part() == [[0, 0], [0, Q(5, 7)]]
+        assert _linear_part(fmap) == by_coefficient(fmap)
+    assert _linear_part(identity_map(3, 2)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _linear_part(_linear_map([[0, 0], [0, "5/7"]], 3)) == [[0, 0], [0, Q(5, 7)]]
 
 
 def test_random_shear_fixes_target_coordinate():

@@ -503,6 +503,32 @@ def test_linalg_on_singular_matrices():
 
 
 @st.composite
+def singular_matrices(draw):
+    # Fewer independent-looking rows than columns, then rows that combine
+    # them (zero rows when there are none), in any order.
+    n = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(rationals(), min_size=n, max_size=n), max_size=n - 1))
+    weights = draw(st.lists(st.lists(rationals(), min_size=len(base), max_size=len(base)),
+                            min_size=n - len(base), max_size=n - len(base)))
+    extra = [[sum((w * row[j] for w, row in zip(ws, base)), Q(0)) for j in range(n)]
+             for ws in weights]
+    return draw(st.permutations(base + extra))
+
+
+@EXAMPLES
+@given(singular_matrices())
+def test_linalg_on_random_singular_matrices(a):
+    # The message names the first column that rational Gauss-Jordan leaves
+    # without a pivot.
+    assert linalg.det(a) == 0
+    _, pivots = sympy_matrix(a).rref()
+    col = next(c for c in range(len(a)) if c not in pivots)
+    with pytest.raises(SingularMatrix,
+                       match=rf"^matrix is singular \(rank deficiency at column {col}\)$"):
+        linalg.inverse(a)
+
+
+@st.composite
 def kernel_inputs(draw):
     # Independent-looking rows, then rows that combine them: a matrix with
     # more rows than rank, or one with full row rank and columns to spare.
