@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .jets import (Jet, JetMatrix, JetTuple, _add_terms, _apply_partials, _check_ring, _dot,
-                   _jet, _Record, _reduce, _setters, _width)
+                   _jet, _Record, _reduce, _setters, _tuple, _width)
 from .maps import (
     FormalMap,
     _as_rng,
@@ -47,7 +47,7 @@ class Derivation(JetTuple):
     def __init__(self, n: int, order: int, coefficients: tuple[Jet, ...]) -> None:
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"field order must be a non-negative int, got {order!r}")
-        self._fill(n, order, coefficients, _set_coefficients)
+        self._fill(n, order, coefficients)
 
     @property
     def is_zero(self) -> bool:
@@ -95,7 +95,7 @@ class Derivation(JetTuple):
             num, den = other.apply(a)._clipped(k)
             diff = _add_terms(x, ({e: -c for e, c in num.items()}, den))
             coeffs.append(_jet(n, k, *_reduce(*diff), w))
-        return Derivation(n, k, tuple(coeffs))
+        return _tuple(Derivation, n, k, tuple(coeffs))
 
     def divergence(self) -> Jet:
         """sum_i d(a_i)/dx_i, exact to order - 1."""
@@ -136,7 +136,7 @@ class Derivation(JetTuple):
         return " + ".join(parts) if parts else "0"
 
 
-(_set_coefficients,) = _setters(Derivation)
+(Derivation._set_jets,) = _setters(Derivation)
 
 
 # -- standard fields -----------------------------------------------------------------
@@ -204,7 +204,7 @@ def pushforward(
         _dot(sigma.n, k, [(m, row[j]) for m, row in zip(moved, jinv.rows) if not m.is_zero])
         for j in range(sigma.n)
     )
-    return Derivation(sigma.n, k, coeffs)
+    return _tuple(Derivation, sigma.n, k, coeffs)
 
 
 def coordinate_frame(sigma: FormalMap) -> tuple[Derivation, ...]:
@@ -293,7 +293,7 @@ def random_field(n: int, order: int, seed: "int | random.Random") -> Derivation:
     _check_ring(n, order)
     rng = _as_rng(seed)
     coeffs = [_rand_jet(rng, n, order, 0, rng.randint(1, 2)) for _ in range(n)]
-    return Derivation(n, order, tuple(coeffs))
+    return _tuple(Derivation, n, order, tuple(coeffs))
 
 
 def random_divergence_free(n: int, order: int, seed: "int | random.Random") -> Derivation:
@@ -305,4 +305,4 @@ def random_divergence_free(n: int, order: int, seed: "int | random.Random") -> D
     _check_ring(n, order)
     rng = _as_rng(seed)
     coeffs = _divergence_free_coeffs(rng, n, order)
-    return Derivation(n, order, tuple(coeffs))
+    return _tuple(Derivation, n, order, tuple(coeffs))

@@ -14,8 +14,9 @@ result, instead of once per coefficient.  Monomials are packed into ints
 (see ``_pack``), so a monomial product is one int addition and a degree
 test one comparison.  The integer form is the only one a jet stores:
 ``terms`` is built from it afresh on each access.  The canonical term
-order of ``str`` and ``to_dict`` is read off the packed keys,
-and each coefficient is reduced by one gcd as it is printed.
+order of ``str`` and ``to_dict`` is read off the packed keys, a coefficient
+is reduced by one gcd as it is printed unless the denominator is 1, and
+``str`` reads each monomial's text from a table of its ring (``_names``).
 
 Precision is tracked per jet and every operation returns the largest
 order its result can honestly claim:
@@ -38,8 +39,9 @@ tuples indexed from 0.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -478,6 +480,22 @@ def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
     return obj
 
 
+def _matrix(rows: tuple) -> "JetMatrix":
+    # Internal fast path: callers guarantee what JetMatrix's constructor checks.
+    obj = _new(JetMatrix)
+    _set_rows(obj, rows)
+    return obj
+
+
+def _tuple(cls: type, n: int, order: int, jets: tuple) -> "JetTuple":
+    # Internal fast path: callers guarantee what the constructor of ``cls`` checks.
+    obj = _new(cls)
+    _set_tuple_n(obj, n)
+    _set_tuple_order(obj, order)
+    cls._set_jets(obj, jets)
+    return obj
+
+
 def _check_ring(n: int, order: int) -> None:
     if type(n) is not int or n < 1:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
@@ -794,7 +812,7 @@ class Jet(_Frozen):
             return math.inf
         return min(self._num) >> (self._w * self.n)
 
-    def _walk(self) -> Iterator[tuple[int, int, int]]:
+    def _walk(self) -> list[tuple[int, int, int]]:
         """(packed key, p, q) per term in canonical order, with p/q reduced.
 
         The canonical order is ascending total degree and, within a degree,
@@ -804,10 +822,10 @@ class Jet(_Frozen):
         earlier variables first, so the flipped keys sort ascending in it.
         """
         num, den, n, w = self._num, self._den, self.n, self._w
-        for k in sorted(num, key=((1 << (w * n)) - 1).__xor__):
-            c = num[k]
-            g = gcd(c, den)
-            yield k, c // g, den // g
+        keys = sorted(num, key=((1 << (w * n)) - 1).__xor__)
+        if den == 1:
+            return [(k, num[k], 1) for k in keys]
+        return [(k, (c := num[k]) // (g := gcd(c, den)), den // g) for k in keys]
 
     def _clipped(self, k: int) -> tuple[dict, int]:
         """Reduced integer form of this jet truncated to order k <= self.order,
@@ -1023,26 +1041,24 @@ class Jet(_Frozen):
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        n, w = self.n, self._w
-        mask = (1 << w) - 1
-        names = [(w * (n - 1 - i), f"x{i + 1}") for i in range(n)]
+        names = _names(self.n, self._w)
         parts: list[str] = []
         for k, p, q in self._walk():
             neg = p < 0
             if neg:
                 p = -p
             mag = str(p) if q == 1 else f"{p}/{q}"
-            factors = []
-            for shift, name in names:
-                e = (k >> shift) & mask
-                if e:
-                    factors.append(f"{name}^{e}" if e > 1 else name)
+            factors = names.get(k)
+            if factors is None:
+                factors = _monomial_text(k, self.n, self._w)
+                if len(names) < _MAX_NAMES:
+                    names[k] = factors
             if not factors:
                 body = mag
             elif mag == "1":
-                body = "*".join(factors)
+                body = factors
             else:
-                body = mag + "*" + "*".join(factors)
+                body = mag + "*" + factors
             if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:
@@ -1055,6 +1071,23 @@ class Jet(_Frozen):
 
 _new = object.__new__
 _set_n, _set_order, _set_w, _set_num, _set_den = _setters(Jet)
+
+# The tables of the 16 rings last printed keep the first _MAX_NAMES
+# monomials printed in each, every monomial of a ring within MAX_RING_SIZE.
+_MAX_NAMES = 1024
+
+
+@lru_cache(maxsize=16)
+def _names(n: int, w: int) -> dict[int, str]:
+    """The monomial texts of the ring (n, key width w), by packed key."""
+    return {}
+
+
+def _monomial_text(key: int, n: int, w: int) -> str:
+    """The text of the packed monomial ``key``, as ``x1^2*x3``; "" for 1."""
+    mask = (1 << w) - 1
+    exps = [(i, key >> (w * (n - 1 - i)) & mask) for i in range(n)]
+    return "*".join([f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in exps if e])
 
 
 # -- matrices of jets ----------------------------------------------------------
@@ -1107,7 +1140,7 @@ class JetMatrix(_Frozen):
         limit = _limit(cap, n, w)
         rows = [[_form(e, cap) for e in row] for row in self.rows]
         cols = [[_sorted(_form(e, cap)) for e in col] for col in zip(*other.rows)]
-        return JetMatrix(tuple(
+        return _matrix(tuple(
             tuple(_jet(n, cap, *_reduce(*_dot_terms(list(zip(row, col)), limit)), w)
                   for col in cols)
             for row in rows
@@ -1188,8 +1221,9 @@ class JetTuple(_Frozen):
     maps, whose jets are their images, and of fields, their coefficients.
 
     A subclass declares its tuple of jets as its one slot, named by
-    ``_items``.  Its constructor checks its own order floor and then calls
-    ``_fill`` with the setter of that slot; ``_fill`` checks the ring
+    ``_items``, and binds the setter of that slot as ``_set_jets`` after
+    its body.  Its constructor checks its own order floor and then calls
+    ``_fill``, which checks the ring
     (``n`` and ``order`` as ``Jet`` does) before any jet.  ``_label`` names
     jet k (1-based) in messages and ``_kind`` names the values in plural;
     ``_check_jet`` is a hook for a subclass's own per-jet check, run after
@@ -1200,7 +1234,7 @@ class JetTuple(_Frozen):
 
     _items = _label = _kind = ""
 
-    def _fill(self, n: int, order: int, jets, set_jets) -> None:
+    def _fill(self, n: int, order: int, jets) -> None:
         _check_ring(n, order)
         jets = tuple(jets)
         if len(jets) != n:
@@ -1219,7 +1253,7 @@ class JetTuple(_Frozen):
             self._check_jet(k, jet)
         _set_tuple_n(self, n)
         _set_tuple_order(self, order)
-        set_jets(self, jets)
+        self._set_jets(self, jets)
 
     def __reduce__(self):
         return type(self), (self.n, self.order, self._jets)

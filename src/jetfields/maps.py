@@ -40,8 +40,8 @@ from .errors import (
     SingularMatrix,
 )
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
-                   _jet, _join_layers, _Layers, _lift, _linear_lift, _pack, _reduce,
-                   _relaxed_terms, _scaled_layers, _setters, _width)
+                   _jet, _join_layers, _Layers, _lift, _linear_lift, _matrix, _pack, _reduce,
+                   _relaxed_terms, _scaled_layers, _setters, _tuple, _width)
 from .rationals import Q
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,7 +58,7 @@ class FormalMap(JetTuple):
     def __init__(self, n: int, order: int, images: tuple[Jet, ...]) -> None:
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"maps need truncation order >= 1, got {order!r}")
-        self._fill(n, order, images, _set_images)
+        self._fill(n, order, images)
 
     def _check_jet(self, k: int, img: Jet) -> None:
         if img.constant_term:
@@ -91,7 +91,7 @@ class FormalMap(JetTuple):
         k = min(self.order, other.order)
         table: dict = {}
         images = tuple(self._apply(img, table).truncate(k) for img in other.images)
-        return FormalMap(self.n, k, images)
+        return _tuple(FormalMap, self.n, k, images)
 
     def _degree_one(self) -> tuple[list[int], list[list[int]]]:
         """The packed keys of x1..xn, and D A for D the diagonal of the image
@@ -106,11 +106,8 @@ class FormalMap(JetTuple):
 
     def jacobian_matrix(self) -> JetMatrix:
         """Entries J[i][j] = d(image_j)/d(x_i), exact to order - 1."""
-        cols = [
-            [img.partial_derivative(i + 1) for img in self.images]
-            for i in range(self.n)
-        ]
-        return JetMatrix(tuple(tuple(col) for col in cols))
+        return _matrix(tuple(tuple(img.partial_derivative(i + 1) for img in self.images)
+                             for i in range(self.n)))
 
     def jacobian_det(self) -> Jet:
         return self.jacobian_matrix().det()
@@ -182,7 +179,7 @@ class FormalMap(JetTuple):
                 if row[i]:
                     s.terms += [(([(0, -row[i] * c)], d), t) for c, t in parts]
         _lift(nodes, ws, cap)
-        return FormalMap(n, cap, tuple(_join_layers(n, cap, s.layers) for s in ws))
+        return _tuple(FormalMap, n, cap, tuple(_join_layers(n, cap, s.layers) for s in ws))
 
     # text form
 
@@ -190,7 +187,7 @@ class FormalMap(JetTuple):
         return "; ".join(f"x{i + 1} -> {img}" for i, img in enumerate(self.images))
 
 
-(_set_images,) = _setters(FormalMap)
+(FormalMap._set_jets,) = _setters(FormalMap)
 
 
 # -- constructors ---------------------------------------------------------------
@@ -230,11 +227,11 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     inv, d = linalg.inverse([[e._num.get(0, 0) * (s // e._den) for e in row]
                              for row, s in zip(m.rows, scales)])
     c = [[_reduce({0: v * s} if v else {}, d) for v, s in zip(row, scales)] for row in inv]
-    cinv = JetMatrix(tuple(tuple(_jet(n, order, num, den, w) for num, den in row) for row in c))
+    cinv = _matrix(tuple(tuple(_jet(n, order, num, den, w) for num, den in row) for row in c))
     # V, split off C^-1 M by degree and negated.
     v = [[_scaled_layers(e, -1, e._den) for e in row] for row in (cinv @ m).rows]
     x = _linear_lift([[(list(num.items()), den) for num, den in row] for row in c], v, order)
-    return JetMatrix(tuple(tuple(_join_layers(n, order, s) for s in row) for row in x))
+    return _matrix(tuple(tuple(_join_layers(n, order, s) for s in row) for row in x))
 
 
 # -- flows -------------------------------------------------------------------------
@@ -272,7 +269,7 @@ def exp_flow(field: "Derivation") -> FormalMap:
                 "exponentiation needs adic order >= 2"
             )
     images = _flow_images(field.n, field.order, field.coefficients)
-    return FormalMap(field.n, field.order, tuple(images))
+    return _tuple(FormalMap, field.n, field.order, tuple(images))
 
 
 # -- seeded random generation -------------------------------------------------------
@@ -418,7 +415,7 @@ def random_const_jacobian(n: int, order: int, seed: "int | random.Random") -> Fo
         table: dict = {}
         flow = _flow_images(n, order, _divergence_free_coeffs(rng, n, order))
         images = [f.substitute(images, _table=table) for f in flow]
-    return FormalMap(n, order, tuple(images))
+    return _tuple(FormalMap, n, order, tuple(images))
 
 
 def random_automorphism(n: int, order: int, seed: "int | random.Random") -> FormalMap:
@@ -435,4 +432,4 @@ def random_automorphism(n: int, order: int, seed: "int | random.Random") -> Form
     if order >= 2:
         for i in range(n):
             images[i] = images[i] + _rand_jet(rng, n, order, 2, _TAIL_TERMS, nonzero=False)
-    return FormalMap(n, order, tuple(images))
+    return _tuple(FormalMap, n, order, tuple(images))

@@ -41,8 +41,8 @@ from math import gcd, lcm
 
 from .errors import ParseError
 from .fields import Derivation
-from .jets import Jet, _check_ring, _jet, _reduce, _width
-from .maps import FormalMap
+from .jets import Jet, _check_ring, _jet, _reduce, _tuple, _width
+from .maps import FormalMap, _check_map_ring
 
 # Whitespace matches no alternative, so findall skips it.  A token that
 # is "x", "d" or starts with a character outside "xd0-9+-*/^();" is bad.
@@ -202,9 +202,12 @@ def _field(text: str, tokens: list, n: int, order: int, w: int) -> list[Jet]:
         if not 0 < idx <= n:
             raise _unknown(text, tokens, i, n, "field symbol d")
         prev = coeffs[idx - 1]
-        coeffs[idx - 1] = total = prev + (-series if negate else series)
-        for c in total._num.values() if prev._num else ():
-            _check_sum(text, tokens, start, c, total._den)
+        total = -series if negate else series
+        if prev._num:
+            total = prev + total
+            for c in total._num.values():
+                _check_sum(text, tokens, start, c, total._den)
+        coeffs[idx - 1] = total
         i += 1
         t = tokens[i]
         if t == " ":
@@ -249,9 +252,11 @@ def parse_series(text: str, n: int, order: int) -> Jet:
 
 def parse_field(text: str, n: int, order: int) -> Derivation:
     """Parse field text like ``(x1^2)*d1 + (x1*x2)*d2`` into a derivation."""
-    return Derivation(n, order, tuple(_parse(_field, text, n, order)))
+    return _tuple(Derivation, n, order, tuple(_parse(_field, text, n, order)))
 
 
 def parse_map(text: str, n: int, order: int) -> FormalMap:
     """Parse map text like ``x1 -> x1; x2 -> x2 + x1^2`` into a formal map."""
-    return FormalMap(n, order, tuple(_parse(_map, text, n, order)))
+    images = tuple(_parse(_map, text, n, order))
+    _check_map_ring(n, order)  # an order-0 map parses when every image is 0
+    return _tuple(FormalMap, n, order, images)

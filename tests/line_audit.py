@@ -18,6 +18,12 @@ The lines that only a subprocess or a type checker runs are listed in
 them do not move them.  The exit status is pytest's when pytest fails,
 else 1 when a line outside ``KNOWN`` never runs: a new unexecuted line
 needs a test that runs it, or it goes.
+
+Each module's text is read before the traced run starts, and the report
+reads lines from that text.  A file under ``src/jetfields/`` that is
+changed, added or removed during the run would make the line numbers the
+run recorded point at other lines, so the audit then stops with an error
+that names the file instead of reporting.
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ KNOWN = frozenset({
 })
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The lines that carry bytecode in the module at ``path``."""
-    stack = [compile(path.read_text(), str(path), "exec")]
+def executable_lines(path: Path, text: str) -> set[int]:
+    """The lines that carry bytecode in the module at ``path``, whose source is ``text``."""
+    stack = [compile(text, str(path), "exec")]
     lines: set[int] = set()
     while stack:
         code = stack.pop()
@@ -106,15 +112,27 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     return int(code), hits
 
 
+def sources() -> dict[Path, str]:
+    """The text of each module under ``src/jetfields/``, by path."""
+    return {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
     if "jetfields" in sys.modules:
         raise SystemExit("line_audit: jetfields was imported before tracing began")
+    before = sources()
     code, hits = traced_run(argv)
+    after = sources()
+    for path in sorted(before.keys() | after.keys()):
+        if before.get(path) != after.get(path):
+            raise SystemExit(f"line_audit: {path.relative_to(ROOT)} changed during the traced "
+                             "run, so its recorded lines no longer match its text; rerun on "
+                             "a tree that is not being edited")
     total, new = 0, 0
-    for path in sorted(SRC.glob("*.py")):
-        missing = sorted(executable_lines(path) - hits.get(str(path), set()))
+    for path, source in before.items():
+        missing = sorted(executable_lines(path, source) - hits.get(str(path), set()))
         total += len(missing)
-        text = path.read_text().splitlines()
+        text = source.splitlines()
         rel = path.relative_to(ROOT)
         print(f"{rel}: {len(missing)} line{'s' if len(missing) != 1 else ''} never run")
         for line in missing:

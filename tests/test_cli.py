@@ -88,6 +88,15 @@ def test_domain_errors_exit_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("invert", "-n", "1", "-N", "0", "x1 -> 0"),
+    ("compose", "-n", "1", "-N", "0", "x1 -> 0", "x1 -> 0"),
+    ("push", "-n", "1", "-N", "0", "x1 -> 0", "(1)*d1"),
+])
+def test_maps_at_order_zero_exit_2(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: maps need truncation order >= 1, got 0\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "div", "-n", "2", "(x1)*d1")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

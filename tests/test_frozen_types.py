@@ -7,6 +7,12 @@ each signature and default, equality, hashing and the record repr, that no
 attribute can be set or deleted, pickling and ``deepcopy``, and that
 ``object.__setattr__`` still patches a catalog entry's ``generate`` and
 ``evaluate``, as the benchmark's tracer does.
+
+The kernel builds the matrices, maps and fields it returns past these
+constructors, with ``jets._matrix`` and ``jets._tuple``, where it has
+already established what the constructor checks.  A property test holds
+each such value to the constructor: it must accept the value's parts and
+build an equal value.
 """
 
 from __future__ import annotations
@@ -14,8 +20,11 @@ from __future__ import annotations
 import copy
 import inspect
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetfields import (
     CHECK_IDS,
@@ -33,6 +42,15 @@ from jetfields import (
     SuiteConfig,
     TrialResult,
     VerificationReport,
+    exp_flow,
+    matrix_inverse,
+    parse_field,
+    parse_map,
+    pushforward,
+    random_automorphism,
+    random_const_jacobian,
+    random_divergence_free,
+    random_field,
     run_check,
     run_suite,
 )
@@ -228,3 +246,49 @@ def test_object_setattr_patches_a_catalog_entry_and_puts_it_back():
     assert CHECKS["C1"] is cd
     run_check("C1", 2, 3, 7)
     assert calls == ["generate", "evaluate"]
+
+
+# -- values built past the constructors ----------------------------------------------
+
+
+def _jacobian(rng: random.Random, n: int, order: int) -> JetMatrix:
+    return random_automorphism(n, order, rng).jacobian_matrix()
+
+
+# Each operation whose result the kernel builds past its constructor, on
+# seeded inputs in n variables at order ``order``.
+BUILT = {
+    "compose": lambda rng, n, order: random_automorphism(n, order, rng).compose(
+        random_const_jacobian(n, order, rng)),
+    "invert": lambda rng, n, order: random_automorphism(n, order, rng).invert(),
+    "exp_flow": lambda rng, n, order: exp_flow(random_divergence_free(n, order, rng)),
+    "pushforward": lambda rng, n, order: pushforward(random_automorphism(n, order, rng),
+                                                     random_field(n, order, rng)),
+    "bracket": lambda rng, n, order: random_field(n, order, rng).bracket(
+        random_field(n, order, rng)),
+    "jacobian_matrix": _jacobian,
+    "matmul": lambda rng, n, order: _jacobian(rng, n, order) @ _jacobian(rng, n, order),
+    "matrix_inverse": lambda rng, n, order: matrix_inverse(_jacobian(rng, n, order)),
+    "parse_map": lambda rng, n, order: parse_map(
+        str(random_automorphism(n, order, rng)), n, order),
+    "parse_field": lambda rng, n, order: parse_field(
+        str(random_field(n, order, rng)), n, order),
+    **{sampler.__name__: lambda rng, n, order, sampler=sampler: sampler(n, order, rng)
+       for sampler in (random_automorphism, random_const_jacobian, random_field,
+                       random_divergence_free)},
+}
+
+
+@pytest.mark.parametrize("name", BUILT)
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 3), order=st.sampled_from((3, 4, 5, 16)), seed=st.integers(0, 2 ** 32 - 1))
+def test_built_values_are_ones_their_constructors_accept(name, n, order, seed):
+    # At order 16, two variables at most: invert at (3, 16) takes most of a second.
+    n = min(n, 2) if order == 16 else n
+    value = BUILT[name](random.Random(seed), n, order)
+    if isinstance(value, JetMatrix):
+        assert type(value.rows) is tuple and all(type(row) is tuple for row in value.rows)
+        assert JetMatrix(value.rows) == value
+    else:
+        assert type(value._jets) is tuple
+        assert type(value)(value.n, value.order, value._jets) == value

@@ -12,8 +12,9 @@ degrees, and recomputes:
 
 The cases cover ``substitute`` (with images below f's order), ``compose``,
 ``apply_matrix``, ``pushforward``, the derivation action ``apply`` and
-``bracket``, and the three operations built on the relaxed lift:
-``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``.  They
+``bracket``, the three operations built on the relaxed lift:
+``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``, and the
+jet product ``*``, ``partial_derivative`` and ``JetMatrix.det``.  They
 run at small orders and across the 15 <-> 16 key-layout boundary, where a
 lifted operand is repacked.  The suite's evaluators are checked for
 soundness too: each side of a trial holds through the trial's verdict order
@@ -162,14 +163,39 @@ def invert_case(rng, orders):
     return (FormalMap(n, p, tuple(images)),), lambda s: s.invert(), p
 
 
-def matrix_inverse_case(rng, orders):
-    # A dense matrix whose constants form an invertible lower-triangular
-    # matrix: the lift of M's degree r + 1 reaches M^-1's through C^-1.
-    n, (r,) = shape(rng, 1, orders)
-    m = JetMatrix(tuple(tuple(
-        unit(rng, n, r, Q(rng.randint(1, 3)) if i == j else Q(rng.randint(-2, 2) * (j < i)))
+def dense_matrix(rng: random.Random, n: int, order: int) -> JetMatrix:
+    """Dense entries whose constants form an invertible lower-triangular matrix."""
+    return JetMatrix(tuple(tuple(
+        unit(rng, n, order, Q(rng.randint(1, 3)) if i == j else Q(rng.randint(-2, 2) * (j < i)))
         for j in range(n)) for i in range(n)))
-    return (m,), matrix_inverse, r
+
+
+def matrix_inverse_case(rng, orders):
+    # The lift of M's degree r + 1 reaches M^-1's through C^-1.
+    n, (r,) = shape(rng, 1, orders)
+    return (dense_matrix(rng, n, r),), matrix_inverse, r
+
+
+def det_case(rng, orders):
+    # The lift of an entry's degree r + 1 reaches det at r + 1 through its
+    # cofactor's constant; the cofactors of a diagonal entry are nonzero.
+    n, (r,) = shape(rng, 1, orders)
+    return (dense_matrix(rng, n, r),), JetMatrix.det, r
+
+
+def mul_case(rng, orders):
+    # Both factors have constants, so the lift of either factor's degree
+    # min(p, q) + 1 reaches the product there.
+    n, (p, q) = shape(rng, 2, orders)
+    f, g = (unit(rng, n, k, Q(rng.randint(1, 3))) for k in (p, q))
+    return (f, g), lambda f, g: f * g, min(p, q)
+
+
+def partial_derivative_case(rng, orders):
+    # The lift's terms of degree q + 1 in x_i reach the partial at q.
+    n, (q,) = shape(rng, 1, orders)
+    i = rng.randint(1, n)
+    return (unit(rng, n, q, Q(1)),), lambda f: f.partial_derivative(i), q - 1
 
 
 def invert_unit_case(rng, orders):
@@ -188,6 +214,9 @@ CASES = {
     "invert": invert_case,
     "matrix_inverse": matrix_inverse_case,
     "invert_unit": invert_unit_case,
+    "mul": mul_case,
+    "partial_derivative": partial_derivative_case,
+    "det": det_case,
 }
 
 

@@ -21,6 +21,7 @@ from jetfields import (
     random_automorphism,
     random_field,
 )
+from jetfields.jets import _pack, _width
 
 
 DIGITS = sys.get_int_max_str_digits()
@@ -176,6 +177,12 @@ def test_parse_field_errors():
         assert str(err.value) == message
 
 
+def test_parse_field_at_order_zero():
+    d = parse_field("(2)*d1 - (1/2)*d2 + (1)*d1", 2, 0)
+    assert d == Derivation(2, 0, (Jet.constant(2, 0, 3), Jet.constant(2, 0, "-1/2")))
+    assert parse_field("0", 1, 0) == Derivation(1, 0, (Jet.zero(1, 0),))
+
+
 # -- maps -----------------------------------------------------------------------
 
 
@@ -220,6 +227,13 @@ def test_parse_map_errors():
             assert fragment in str(err.value), text
 
 
+@pytest.mark.parametrize("text, n", [("x1 -> 0", 1), ("x2 -> 1 - 1; x1 -> 0", 2)])
+def test_parse_map_keeps_the_order_floor(text, n):
+    # The only maps that parse at order 0 have zero images; the map is still refused.
+    with pytest.raises(ValueError, match=r"^maps need truncation order >= 1, got 0$"):
+        parse_map(text, n, 0)
+
+
 def test_trailing_input_rejected():
     for fn, text in [
         (parse_series, "x1 )"),
@@ -254,8 +268,9 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 def naive_str(jet: Jet) -> str:
     parts = []
-    for e in sorted(jet.terms, key=_grlex_key):
-        c = Fraction(jet.terms[e])
+    terms = jet.terms  # built afresh on each access
+    for e in sorted(terms, key=_grlex_key):
+        c = Fraction(terms[e])
         mag = abs(c)
         factors = [f"x{i + 1}" + (f"^{p}" if p > 1 else "") for i, p in enumerate(e) if p]
         if not factors:
@@ -294,6 +309,44 @@ def wide_jets(draw):
 @settings(max_examples=150, deadline=None)
 def test_str_matches_the_naive_formatter(f):
     assert str(f) == naive_str(f)
+
+
+def monomials(n: int, degree: int):
+    """Every exponent tuple in n variables of total degree ``degree``."""
+    if n == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in monomials(n - 1, degree - first):
+            yield (first, *rest)
+
+
+def test_str_reads_the_monomial_table_of_each_ring():
+    # Jets of many rings, printed interleaved in both orders.  One packed
+    # key names different monomials in rings of different layouts: 514 is
+    # x1^2 at (n, order) = (1, 16) and x2^2 at (2, 15).  So a monomial table
+    # shared by two such rings prints one ring's text for the other's jet.
+    rings = [(n, order) for n in range(1, 7) for order in (15, 16, 255, 256, 300)]
+    owners: dict[int, set] = {}
+    for n, order in rings:
+        for degree in range(4):
+            for exps in monomials(n, degree):
+                owners.setdefault(_pack(exps, _width(order)), set()).add(exps)
+    shared = {key for key, exps in owners.items() if len(exps) > 1}
+    assert len(shared) > 20
+    rng = seeded_rng("syntax-rings")
+    jets = []
+    for n, order in rings:
+        terms = {exps: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2, 7)))
+                 for degree in range(4) for exps in monomials(n, degree)
+                 if _pack(exps, _width(order)) in shared or rng.random() < 0.2}
+        terms[(0,) * (n - 1) + (order,)] = Fraction(-1, 3)
+        jets.append(Jet(n, order, terms))
+    # A ring with more monomials than its table keeps (jets._MAX_NAMES).
+    jets.append(Jet(2, 50, {exps: Fraction(1, degree + 1)
+                            for degree in range(51) for exps in monomials(2, degree)}))
+    for f in [*jets, *reversed(jets), *jets]:
+        assert str(f) == naive_str(f)
 
 
 @given(wide_jets())
