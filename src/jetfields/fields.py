@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .jets import (Jet, JetMatrix, JetTuple, _add_terms, _apply_partials, _check_ring, _dot,
-                   _jet, _Record, _reduce, _setters, _tuple, _width)
+                   _jet, _Record, _reduce, _tuple, _width)
 from .maps import (
     FormalMap,
     _as_rng,
@@ -42,12 +42,12 @@ class Derivation(JetTuple):
 
     __slots__ = ("coefficients",)
 
-    _items, _label, _kind = "coefficients", "coefficient {}", "fields"
+    _label, _kind = "coefficient {}", "fields"
 
-    def __init__(self, n: int, order: int, coefficients: tuple[Jet, ...]) -> None:
+    def __new__(cls, n: int, order: int, coefficients: tuple[Jet, ...]) -> "Derivation":
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"field order must be a non-negative int, got {order!r}")
-        self._fill(n, order, coefficients)
+        return _tuple(cls, n, order, cls._checked(n, order, coefficients))
 
     @property
     def is_zero(self) -> bool:
@@ -113,15 +113,15 @@ class Derivation(JetTuple):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch("cannot add fields on different variable counts")
-        pairs = zip(self.coefficients, other.coefficients)
-        return Derivation(self.n, min(self.order, other.order), tuple(a + b for a, b in pairs))
+        coeffs = tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
+        return _tuple(Derivation, self.n, min(self.order, other.order), coeffs)
 
     def __mul__(self, scalar) -> "Derivation":
         try:
             c = as_rational(scalar)
         except TypeError:
             return NotImplemented
-        return Derivation(self.n, self.order, tuple(a * c for a in self.coefficients))
+        return _tuple(Derivation, self.n, self.order, tuple(a * c for a in self.coefficients))
 
     __rmul__ = __mul__
 
@@ -136,9 +136,6 @@ class Derivation(JetTuple):
         return " + ".join(parts) if parts else "0"
 
 
-(Derivation._set_jets,) = _setters(Derivation)
-
-
 # -- standard fields -----------------------------------------------------------------
 
 
@@ -149,7 +146,7 @@ def partial_field(n: int, order: int, i: int) -> Derivation:
     coeffs = tuple(
         Jet.constant(n, order, 1 if k == i - 1 else 0) for k in range(n)
     )
-    return Derivation(n, order, coeffs)
+    return _tuple(Derivation, n, order, coeffs)
 
 
 def euler_field(n: int, order: int, i: int) -> Derivation:
@@ -160,7 +157,7 @@ def euler_field(n: int, order: int, i: int) -> Derivation:
         Jet.variable(n, order, i) if k == i - 1 else Jet.zero(n, order)
         for k in range(n)
     )
-    return Derivation(n, order, coeffs)
+    return _tuple(Derivation, n, order, coeffs)
 
 
 # -- transport along maps -------------------------------------------------------------
@@ -214,10 +211,7 @@ def coordinate_frame(sigma: FormalMap) -> tuple[Derivation, ...]:
     coefficient vector of the i-th transported field.
     """
     jinv = matrix_inverse(sigma.jacobian_matrix())
-    return tuple(
-        Derivation(sigma.n, sigma.order - 1, tuple(jinv.rows[i]))
-        for i in range(sigma.n)
-    )
+    return tuple(_tuple(Derivation, sigma.n, sigma.order - 1, row) for row in jinv.rows)
 
 
 # -- divergence classification ---------------------------------------------------------

@@ -466,8 +466,8 @@ def _relaxed_terms(terms: dict, heads: Sequence[_Layers], i: int, w: int, table:
 
 
 def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
-    # Internal fast path: callers guarantee a reduced integer form whose
-    # keys are packed with width w and have degree <= order.
+    # The builder of every Jet: callers guarantee a reduced integer form
+    # whose keys are packed with width w and have degree <= order.
     if w != _width(order):
         num = _repack(num, n, w, _width(order), order)
         w = _width(order)
@@ -481,14 +481,14 @@ def _jet(n: int, order: int, num: dict, den: int, w: int) -> "Jet":
 
 
 def _matrix(rows: tuple) -> "JetMatrix":
-    # Internal fast path: callers guarantee what JetMatrix's constructor checks.
+    # The builder of every JetMatrix: callers guarantee what its constructor checks.
     obj = _new(JetMatrix)
     _set_rows(obj, rows)
     return obj
 
 
 def _tuple(cls: type, n: int, order: int, jets: tuple) -> "JetTuple":
-    # Internal fast path: callers guarantee what the constructor of ``cls`` checks.
+    # The builder of every map and field: callers guarantee what ``cls``'s constructor checks.
     obj = _new(cls)
     _set_tuple_n(obj, n)
     _set_tuple_order(obj, order)
@@ -663,9 +663,12 @@ def _join_layers(n: int, order: int, layers: Sequence[tuple[list, int]]) -> "Jet
 
 # -- frozen values ---------------------------------------------------------------
 #
-# Jets, their matrices and tuples are slotted classes whose constructors
-# fill each slot through its setter, bound once at import, so building one
-# in a kernel loop makes no ``__setattr__`` lookups.  The records
+# Jets, their matrices and tuples are slotted classes built one way: their
+# builders (``_jet``, ``_matrix``, ``_tuple``) alone fill slots, through
+# setters bound once at import, so a kernel loop makes no ``__setattr__``
+# lookups.  A public constructor checks its arguments and returns its
+# builder's value; the kernel builds what it has checked with the builder
+# alone.  The records
 # (``_Record``: the suite's results and configuration, and
 # ``DivergenceClass``) are built once a trial at most, and fill their slots
 # in order through ``object.__setattr__``.  Setting or deleting an attribute
@@ -725,7 +728,7 @@ class Jet(_Frozen):
 
     __slots__ = ("n", "order", "_w", "_num", "_den")
 
-    def __init__(self, n: int, order: int, terms: Mapping[Monomial, "Q"]) -> None:
+    def __new__(cls, n: int, order: int, terms: Mapping[Monomial, "Q"]) -> "Jet":
         _check_ring(n, order)
         canon: dict[Monomial, Q] = {}
         for exps, coeff in terms.items():
@@ -745,11 +748,7 @@ class Jet(_Frozen):
             _pack(e, w): c.numerator * (den // c.denominator)
             for e, c in canon.items()
         }
-        _set_n(self, n)
-        _set_order(self, order)
-        _set_w(self, w)
-        _set_num(self, num)
-        _set_den(self, den)
+        return _jet(n, order, num, den, w)
 
     def __reduce__(self):
         return _jet, (self.n, self.order, self._num, self._den, self._w)
@@ -804,7 +803,12 @@ class Jet(_Frozen):
         return Q(c, self._den) if c else _ZERO
 
     def coefficient(self, exps: Sequence[int]) -> "Q":
-        return self.terms.get(tuple(exps), _ZERO)
+        """The coefficient of x^exps, read from its one numerator."""
+        e = tuple(exps)
+        if len(e) != self.n or not all(p in range(self.order + 1) for p in e):
+            return _ZERO
+        c = self._num.get(_pack([int(p) for p in e], self._w))
+        return Q(c, self._den) if c else _ZERO
 
     def m_adic_order(self) -> int | float:
         """Total degree of the lowest nonzero term; infinity for the zero jet."""
@@ -1098,7 +1102,7 @@ class JetMatrix(_Frozen):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[Jet, ...], ...]) -> None:
+    def __new__(cls, rows: tuple[tuple[Jet, ...], ...]) -> "JetMatrix":
         rows = tuple(tuple(row) for row in rows)
         m = len(rows)
         if m == 0 or any(len(row) != m for row in rows):
@@ -1115,7 +1119,7 @@ class JetMatrix(_Frozen):
                     )
                 if entry.order != first.order:
                     raise OrderMismatch("matrix entries must share one truncation order")
-        _set_rows(self, rows)
+        return _matrix(rows)
 
     def __reduce__(self):
         return JetMatrix, (self.rows,)
@@ -1127,9 +1131,6 @@ class JetMatrix(_Frozen):
     @property
     def order(self) -> int:
         return self.rows[0][0].order
-
-    def map_entries(self, fn) -> "JetMatrix":
-        return JetMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         # Each entry is one product pass; a right-hand entry is sorted once
@@ -1220,46 +1221,48 @@ class JetTuple(_Frozen):
     """n jets in n variables at one truncation order: the base of formal
     maps, whose jets are their images, and of fields, their coefficients.
 
-    A subclass declares its tuple of jets as its one slot, named by
-    ``_items``, and binds the setter of that slot as ``_set_jets`` after
-    its body.  Its constructor checks its own order floor and then calls
-    ``_fill``, which checks the ring
-    (``n`` and ``order`` as ``Jet`` does) before any jet.  ``_label`` names
-    jet k (1-based) in messages and ``_kind`` names the values in plural;
-    ``_check_jet`` is a hook for a subclass's own per-jet check, run after
-    the shared ones on each jet.
+    A subclass declares its tuple of jets as its one slot, whose name
+    ``__init_subclass__`` binds as ``_items`` and whose setter as
+    ``_set_jets``, for ``_tuple``.  Its constructor checks its own order
+    floor, calls ``_checked``, which checks the ring (as ``Jet`` does)
+    before any jet, and returns ``_tuple``'s value.  ``_label`` names jet k
+    (1-based) in messages, ``_kind`` names the values in plural, and
+    ``_continuous`` says that each jet must vanish at the origin.
     """
 
     __slots__ = ("n", "order")
 
-    _items = _label = _kind = ""
+    _label, _kind, _continuous = "", "", False
 
-    def _fill(self, n: int, order: int, jets) -> None:
+    def __init_subclass__(cls) -> None:
+        (cls._items,) = cls.__slots__
+        (cls._set_jets,) = _setters(cls)
+
+    @classmethod
+    def _checked(cls, n: int, order: int, jets) -> tuple[Jet, ...]:
         _check_ring(n, order)
         jets = tuple(jets)
         if len(jets) != n:
-            raise DimensionMismatch(f"expected {n} {self._items}, got {len(jets)}")
+            raise DimensionMismatch(f"expected {n} {cls._items}, got {len(jets)}")
         for k, jet in enumerate(jets, start=1):
             if not isinstance(jet, Jet):
-                raise TypeError(f"{self._label.format(k)} must be a Jet, got {jet!r}")
+                raise TypeError(f"{cls._label.format(k)} must be a Jet, got {jet!r}")
             if jet.n != n:
                 raise DimensionMismatch(
-                    f"{self._label.format(k)} lives in {jet.n} variables, expected {n}"
+                    f"{cls._label.format(k)} lives in {jet.n} variables, expected {n}"
                 )
             if jet.order != order:
                 raise OrderMismatch(
-                    f"{self._label.format(k)} has order {jet.order}, expected {order}"
+                    f"{cls._label.format(k)} has order {jet.order}, expected {order}"
                 )
-            self._check_jet(k, jet)
-        _set_tuple_n(self, n)
-        _set_tuple_order(self, order)
-        self._set_jets(self, jets)
+            if cls._continuous and jet.constant_term:
+                raise NotContinuous(
+                    f"{cls._label.format(k)} has nonzero constant term {jet.constant_term}"
+                )
+        return jets
 
     def __reduce__(self):
         return type(self), (self.n, self.order, self._jets)
-
-    def _check_jet(self, k: int, jet: Jet) -> None:
-        pass
 
     @property
     def _jets(self) -> tuple[Jet, ...]:

@@ -34,14 +34,13 @@ from typing import TYPE_CHECKING, Sequence
 from . import linalg
 from .errors import (
     DimensionMismatch,
-    NotContinuous,
     NotNilpotent,
     PrecisionExhausted,
     SingularMatrix,
 )
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
                    _jet, _join_layers, _Layers, _lift, _linear_lift, _matrix, _pack, _reduce,
-                   _relaxed_terms, _scaled_layers, _setters, _tuple, _width)
+                   _relaxed_terms, _scaled_layers, _tuple, _width)
 from .rationals import Q
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,16 +52,12 @@ class FormalMap(JetTuple):
 
     __slots__ = ("images",)
 
-    _items, _label, _kind = "images", "image of x{}", "maps"
+    _label, _kind, _continuous = "image of x{}", "maps", True
 
-    def __init__(self, n: int, order: int, images: tuple[Jet, ...]) -> None:
+    def __new__(cls, n: int, order: int, images: tuple[Jet, ...]) -> "FormalMap":
         if not isinstance(order, int) or order < 1:
             raise ValueError(f"maps need truncation order >= 1, got {order!r}")
-        self._fill(n, order, images)
-
-    def _check_jet(self, k: int, img: Jet) -> None:
-        if img.constant_term:
-            raise NotContinuous(f"image of x{k} has nonzero constant term {img.constant_term}")
+        return _tuple(cls, n, order, cls._checked(n, order, images))
 
     # algebra
 
@@ -80,7 +75,7 @@ class FormalMap(JetTuple):
 
     def apply_matrix(self, m: JetMatrix) -> JetMatrix:
         table: dict = {}
-        return m.map_entries(lambda e: self._apply(e, table))
+        return _matrix(tuple(tuple(self._apply(e, table) for e in row) for row in m.rows))
 
     def compose(self, other: "FormalMap") -> "FormalMap":
         """The map with apply(result, f) == apply(self, apply(other, f))."""
@@ -187,14 +182,13 @@ class FormalMap(JetTuple):
         return "; ".join(f"x{i + 1} -> {img}" for i, img in enumerate(self.images))
 
 
-(FormalMap._set_jets,) = _setters(FormalMap)
-
-
 # -- constructors ---------------------------------------------------------------
 
 
 def identity_map(n: int, order: int) -> FormalMap:
-    return FormalMap(n, order, tuple(Jet.variable(n, order, i + 1) for i in range(n)))
+    images = tuple(Jet.variable(n, order, i + 1) for i in range(n))
+    # Jet.variable has checked the ring and the floor, unless n < 1 built no image.
+    return _tuple(FormalMap, n, order, images) if images else FormalMap(n, order, images)
 
 
 # -- matrix inversion over jets ---------------------------------------------------

@@ -33,6 +33,8 @@ from jetfields import (
     PrecisionExhausted,
     Q,
     SuiteConfig,
+    euler_field,
+    identity_map,
     matrix_inverse,
     partial_field,
     pushforward,
@@ -434,7 +436,7 @@ def test_pushforward_checks_a_supplied_jacobian_inverse():
     jinv = matrix_inverse(sigma.jacobian_matrix())
     assert pushforward(sigma, field, jinv) == pushforward(sigma, field)
     with pytest.raises(OrderMismatch):
-        pushforward(sigma, field, jinv.map_entries(lambda e: e.truncate(2)))
+        pushforward(sigma, field, JetMatrix([[e.truncate(2) for e in row] for row in jinv.rows]))
     with pytest.raises(DimensionMismatch):
         pushforward(sigma, field, identity_matrix(3, 3))
 
@@ -773,6 +775,15 @@ VALUE_TYPE_ERRORS = [
     (lambda: _coords(Derivation, 2, 2) * None,
      TypeError, "unsupported operand type(s) for *: 'Derivation' and 'NoneType'"),
     (lambda: partial_field(2, 3, 3), IndexError, "variable index 3 out of range 1..2"),
+    # The standard maps and fields are built past the constructors, so their
+    # refusals are pinned here.  A row whose message an earlier row pins too
+    # takes its own id, or pytest would renumber the earlier row's.
+    (lambda: identity_map(0, 3), ValueError, "variable count must be a positive int, got 0"),
+    pytest.param(lambda: identity_map(2, 0), PrecisionExhausted,
+                 "a coordinate jet needs order >= 1", id="identity_map(2, 0)"),
+    (lambda: partial_field(0, 3, 1), IndexError, "variable index 1 out of range 1..0"),
+    pytest.param(lambda: euler_field(1, 0, 1), PrecisionExhausted,
+                 "a coordinate jet needs order >= 1", id="euler_field(1, 0, 1)"),
     (lambda: Jet.variable(2, 3, 0), IndexError, "variable index 0 out of range 1..2"),
     (lambda: Jet.variable(2, 0, 1), PrecisionExhausted, "a coordinate jet needs order >= 1"),
     (lambda: Jet.constant(1, 2, None),

@@ -8,11 +8,13 @@ attribute can be set or deleted, pickling and ``deepcopy``, and that
 ``object.__setattr__`` still patches a catalog entry's ``generate`` and
 ``evaluate``, as the benchmark's tracer does.
 
-The kernel builds the matrices, maps and fields it returns past these
-constructors, with ``jets._matrix`` and ``jets._tuple``, where it has
-already established what the constructor checks.  A property test holds
-each such value to the constructor: it must accept the value's parts and
-build an equal value.
+Each value type is built one way: only its builder (``jets._jet``,
+``jets._matrix``, ``jets._tuple``) fills its slots, and its public
+constructor checks its arguments and returns the builder's value.  The
+kernel builds every matrix, map and field it has already checked with the
+builder alone, past the constructor's checks.  A property test holds each
+such value to the constructor: it must accept the value's parts and build
+an equal value.
 """
 
 from __future__ import annotations
@@ -42,10 +44,14 @@ from jetfields import (
     SuiteConfig,
     TrialResult,
     VerificationReport,
+    coordinate_frame,
+    euler_field,
     exp_flow,
+    identity_map,
     matrix_inverse,
     parse_field,
     parse_map,
+    partial_field,
     pushforward,
     random_automorphism,
     random_const_jacobian,
@@ -256,7 +262,8 @@ def _jacobian(rng: random.Random, n: int, order: int) -> JetMatrix:
 
 
 # Each operation whose result the kernel builds past its constructor, on
-# seeded inputs in n variables at order ``order``.
+# seeded inputs in n variables at order ``order``; ``coordinate_frame``
+# gives a tuple of fields, each held to the constructor.
 BUILT = {
     "compose": lambda rng, n, order: random_automorphism(n, order, rng).compose(
         random_const_jacobian(n, order, rng)),
@@ -269,6 +276,16 @@ BUILT = {
     "jacobian_matrix": _jacobian,
     "matmul": lambda rng, n, order: _jacobian(rng, n, order) @ _jacobian(rng, n, order),
     "matrix_inverse": lambda rng, n, order: matrix_inverse(_jacobian(rng, n, order)),
+    "apply_matrix": lambda rng, n, order: random_automorphism(n, order, rng).apply_matrix(
+        _jacobian(rng, n, order)),
+    "coordinate_frame": lambda rng, n, order: coordinate_frame(random_automorphism(n, order, rng)),
+    "field_add": lambda rng, n, order: random_field(n, order, rng) + random_field(
+        n, rng.randint(order - 1, order), rng),
+    "field_scale": lambda rng, n, order: random_field(n, order, rng) * Q(
+        rng.randint(-3, 3), rng.randint(1, 3)),
+    "identity_map": lambda rng, n, order: identity_map(n, order),
+    "partial_field": lambda rng, n, order: partial_field(n, order, rng.randint(1, n)),
+    "euler_field": lambda rng, n, order: euler_field(n, order, rng.randint(1, n)),
     "parse_map": lambda rng, n, order: parse_map(
         str(random_automorphism(n, order, rng)), n, order),
     "parse_field": lambda rng, n, order: parse_field(
@@ -285,10 +302,11 @@ BUILT = {
 def test_built_values_are_ones_their_constructors_accept(name, n, order, seed):
     # At order 16, two variables at most: invert at (3, 16) takes most of a second.
     n = min(n, 2) if order == 16 else n
-    value = BUILT[name](random.Random(seed), n, order)
-    if isinstance(value, JetMatrix):
-        assert type(value.rows) is tuple and all(type(row) is tuple for row in value.rows)
-        assert JetMatrix(value.rows) == value
-    else:
-        assert type(value._jets) is tuple
-        assert type(value)(value.n, value.order, value._jets) == value
+    built = BUILT[name](random.Random(seed), n, order)
+    for value in built if isinstance(built, tuple) else (built,):
+        if isinstance(value, JetMatrix):
+            assert type(value.rows) is tuple and all(type(row) is tuple for row in value.rows)
+            assert JetMatrix(value.rows) == value
+        else:
+            assert type(value._jets) is tuple
+            assert type(value)(value.n, value.order, value._jets) == value

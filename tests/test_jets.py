@@ -359,6 +359,29 @@ def test_m_adic_order():
     assert Jet(2, 3, {(1, 2): 1}).m_adic_order() == 3
 
 
+def _probe_entries(order: int) -> st.SearchStrategy:
+    """Exponents of every kind a caller may pass: ints in and past 0..order,
+    bools, floats equal to ints, and other floats."""
+    ints = st.integers(-2, order + 2)
+    return st.one_of(ints, st.booleans(), ints.map(float),
+                     st.sampled_from((-0.0, 0.5, math.inf, -math.inf, math.nan)))
+
+
+@given(data=st.data(), n=st.integers(1, 3), order=st.sampled_from((0, 3, 15, 16)))
+@settings(max_examples=200, deadline=None)
+def test_coefficient_reads_what_terms_holds(data, n, order):
+    # Orders 15 and 16 sit on either side of the 4-bit to 8-bit key layout.
+    jet = data.draw(jets(n, order, max_terms=8))
+    # A stored exponent tuple, each entry perhaps as a float or a bool, or
+    # an arbitrary tuple of any length.
+    stored = st.sampled_from(sorted(jet.terms) or [(0,) * n]).flatmap(lambda e: st.tuples(
+        *[st.sampled_from((p, float(p), bool(p)) if p < 2 else (p, float(p))) for p in e]))
+    exps = data.draw(st.one_of(stored, st.lists(_probe_entries(order), max_size=n + 1).map(tuple)))
+    got = jet.coefficient(exps)
+    assert got == jet.terms.get(exps, 0) and type(got) is Q
+    assert jet.coefficient(list(exps)) == got
+
+
 def test_substitute_requires_continuity_and_matching_ring():
     f = Jet.variable(2, 3, 1)
     good = [Jet.variable(2, 3, 2), Jet.variable(2, 3, 1)]
