@@ -25,8 +25,8 @@ from .errors import (
     OrderMismatch,
     PrecisionExhausted,
 )
-from .jets import (Jet, JetMatrix, JetTuple, _add_terms, _apply_partials, _check_ring, _dot,
-                   _jet, _Record, _reduce, _tuple, _width)
+from .jets import (Jet, JetMatrix, JetTuple, _add_terms, _apply_partials, _check_index,
+                   _check_ring, _dot, _jet, _Record, _reduce, _tuple, _width)
 from .maps import (
     FormalMap,
     _as_rng,
@@ -141,8 +141,7 @@ class Derivation(JetTuple):
 
 def partial_field(n: int, order: int, i: int) -> Derivation:
     """The coordinate field d/dx_i (1-based)."""
-    if not 1 <= i <= n:
-        raise IndexError(f"variable index {i} out of range 1..{n}")
+    _check_index(i, n)
     coeffs = tuple(
         Jet.constant(n, order, 1 if k == i - 1 else 0) for k in range(n)
     )
@@ -151,8 +150,7 @@ def partial_field(n: int, order: int, i: int) -> Derivation:
 
 def euler_field(n: int, order: int, i: int) -> Derivation:
     """The field x_i d/dx_i, whose divergence is exactly 1."""
-    if not 1 <= i <= n:
-        raise IndexError(f"variable index {i} out of range 1..{n}")
+    _check_index(i, n)
     coeffs = tuple(
         Jet.variable(n, order, i) if k == i - 1 else Jet.zero(n, order)
         for k in range(n)

@@ -107,8 +107,9 @@ def _repack(num: dict, n: int, w_from: int, w_to: int, cap: int) -> dict:
 # These helpers work on plain {packed key: int numerator} dicts with no
 # validation, so the inner loops see only int arithmetic.  A value is a
 # (numerators, denominator) pair; results may be unreduced and are reduced
-# by ``_reduce`` once per public operation.  Dicts are never mutated after
-# they are returned, so results may share them with their inputs.
+# by ``_reduce`` once per public operation or lifted layer.  Dicts are never
+# mutated after they are returned, so results may share them with their
+# inputs.
 #
 # Argument tuples are built from lists, as in ``lcm(*[...])``, not from
 # generators: CPython 3.11 allocates a tuple built from a generator at a
@@ -168,7 +169,10 @@ def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, 
     Numerators are dicts, which are sorted for that walk on every call, or
     key-sorted lists of (key, numerator) items, walked as given: a caller
     that uses one operand in many products sorts it once (``_sorted``).  A
-    linear combination sum c * b with integer c is a pass over pairs
+    list may be in any key order when no product of the pass reaches the
+    cap, as in the layer passes of the lifts (``_Layers``, ``_linear_lift``),
+    whose products all have one degree <= order: the walk then never stops
+    early.  A linear combination sum c * b with integer c is a pass over pairs
     (([(0, c)], 1), b), as in the tail of ``_subst_terms``: keys are degree
     first, so the walk of each sorted b stops at the first key it would drop.
     """
@@ -194,37 +198,6 @@ def _dot_terms(pairs: Sequence[tuple[tuple, tuple]], limit: int) -> tuple[dict, 
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
     return {k: c for k, c in out.items() if c}, den
-
-
-def _layer_dot(pairs: Sequence[tuple[tuple, tuple]]) -> tuple[list, int]:
-    """sum a/da * b/db over ((a, da), (b, db)) pairs of homogeneous layers,
-    (numerator items in any order, denominator), whose degrees add up to
-    one degree.  Every product lands on it, so unlike ``_dot_terms`` the
-    pass tests no cap and sorts nothing.  The result is a layer reduced by
-    one gcd as its items are listed, or ``_EMPTY``."""
-    pairs = [(a, da * db, b) for (a, da), (b, db) in pairs if a and b]
-    if not pairs:
-        return _EMPTY
-    den = pairs[0][1] if len(pairs) == 1 else lcm(*[d for _, d, _ in pairs])
-    out: dict = {}
-    get = out.get
-    for a, d, b in pairs:
-        s = den // d
-        if len(a) > len(b):
-            a, b = b, a
-        for ka, ca in a:
-            if s != 1:
-                ca *= s
-            for kb, cb in b:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-    items = [(k, c) for k, c in out.items() if c]
-    if not items:
-        return _EMPTY
-    g = gcd(den, *[c for _, c in items]) if den != 1 else 1
-    if g == 1:
-        return items, den
-    return [(k, c // g) for k, c in items], den // g
 
 
 def _sorted(form: tuple[dict, int]) -> tuple[list, int]:
@@ -366,7 +339,8 @@ class _Layers:
     layers a < d of prev, plus sum c * t_d over its ``terms`` (c, t), pairs
     of a constant form and a series.  Since a < d, a series may link to
     itself.  Every product lands on degree d, so a layer is one
-    ``_layer_dot`` pass.
+    ``_dot_terms`` pass under the cap of the lifted order, which no
+    product reaches, reduced once.
 
     ``shift`` says how far the series may lag the round: in round k it is
     needed through layer k - shift (``_lift``).
@@ -378,9 +352,10 @@ class _Layers:
         self.layers, self.links, self.terms = layers, list(links), list(terms)
         self.shift = math.inf
 
-    def grow(self, d: int) -> None:
-        """Append the layers through degree d.  The layers they read must be
-        there already; a missing one raises IndexError."""
+    def grow(self, d: int, limit: int) -> None:
+        """Append the layers through degree d, below the key ``limit`` of the
+        lifted order.  The layers they read must be there already; a missing
+        one raises IndexError."""
         layers = self.layers
         while len(layers) <= d:
             e = len(layers)
@@ -388,13 +363,14 @@ class _Layers:
             for prev, head in self.links:
                 low, high = prev.layers, head.layers
                 pairs += [(low[a], high[e - a]) for a in range(e) if low[a][0]]
-            layers.append(_layer_dot(pairs))
+            num, den = _reduce(*_dot_terms(pairs, limit))
+            layers.append((list(num.items()), den) if num else _EMPTY)
 
 
-def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int) -> None:
-    """Grow ``results`` through layer ``order``, one layer a round, with the
-    series in ``nodes`` that they read: the relaxed lift of
-    ``FormalMap.invert``, its only caller.
+def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int, limit: int) -> None:
+    """Grow ``results`` through layer ``order``, whose key limit is
+    ``limit``, one layer a round, with the series in ``nodes`` that they
+    read: the relaxed lift of ``FormalMap.invert``, its only caller.
 
     ``nodes`` lists each series after every series it reads; the results
     come last and may read themselves and each other through links.  A
@@ -418,7 +394,7 @@ def _lift(nodes: Sequence[_Layers], results: Sequence[_Layers], order: int) -> N
     for k in range(1, order + 1):
         for node in nodes:
             if len(node.layers) <= k - node.shift:
-                node.grow(k - node.shift)
+                node.grow(k - node.shift, limit)
     for node in nodes:
         node.links = node.terms = ()
 
@@ -501,6 +477,14 @@ def _check_ring(n: int, order: int) -> None:
         raise ValueError(f"variable count must be a positive int, got {n!r}")
     if type(order) is not int or order < 0:
         raise ValueError(f"truncation order must be a non-negative int, got {order!r}")
+
+
+def _check_index(i: int, n: int) -> None:
+    """A 1-based variable index is an exact int, not a bool, in 1..n."""
+    if type(i) is not int:
+        raise IndexError(f"variable index must be an int, got {_shown(i)}")
+    if not 1 <= i <= n:
+        raise IndexError(f"variable index {_shown(i)} out of range 1..{n}")
 
 
 # Cost ceilings, checked by ``_cost_guard`` for each suite cell before any
@@ -614,7 +598,7 @@ def _apply_partials(coeffs: Sequence["Jet"], f: "Jet", k: int) -> "Jet":
 
 
 def _linear_lift(c: Sequence[Sequence[tuple[list, int]]], v: Sequence[Sequence[list]],
-                 order: int) -> list[list[list]]:
+                 order: int, limit: int) -> list[list[list]]:
     """The layers 0..order of each entry of X = C + V X, lifted from C one
     layer a round: the linear lift of ``maps.matrix_inverse`` and, as a
     1 x 1 lift, of ``Jet.invert_unit``.
@@ -623,16 +607,18 @@ def _linear_lift(c: Sequence[Sequence[tuple[list, int]]], v: Sequence[Sequence[l
     the nonempty layers (b, layer) of V[i][l] (``_scaled_layers``), all of
     degree b >= 1.  So layer k of X[i][j] is the sum of V[i][l]_b
     X[l][j]_{k-b} over l and b: it reads only layers of X below k.  Each
-    entry's layer is one ``_layer_dot`` pass over plain lists of layers, so
-    each pair of terms of V and X is multiplied once.  No layer is read in
+    entry's layer is one ``_dot_terms`` pass over plain lists of layers,
+    under the key ``limit`` of ``order``, which no product reaches, so each
+    pair of terms of V and X is multiplied once.  No layer is read in
     its own round, so the loop needs none of the scheduling of ``_lift``.
     """
     x = [[[layer] for layer in row] for row in c]
     for k in range(1, order + 1):
         for xi, vi in zip(x, v):
             for j, s in enumerate(xi):
-                s.append(_layer_dot([(xa, p) for l, vl in enumerate(vi) for b, p in vl
-                                     if b <= k and (xa := x[l][j][k - b])[0]]))
+                num, den = _reduce(*_dot_terms([(xa, p) for l, vl in enumerate(vi) for b, p in vl
+                                                if b <= k and (xa := x[l][j][k - b])[0]], limit))
+                s.append((list(num.items()), den) if num else _EMPTY)
     return x
 
 
@@ -771,8 +757,7 @@ class Jet(_Frozen):
     @classmethod
     def variable(cls, n: int, order: int, i: int) -> "Jet":
         """The coordinate x_i (1-based), as a jet of the given order."""
-        if not 1 <= i <= n:
-            raise IndexError(f"variable index {i} out of range 1..{n}")
+        _check_index(i, n)
         if order < 1:
             raise PrecisionExhausted("a coordinate jet needs order >= 1")
         _check_ring(n, order)
@@ -949,8 +934,7 @@ class Jet(_Frozen):
 
     def partial_derivative(self, i: int) -> "Jet":
         """d/dx_i (1-based); the result is exact only to order - 1."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"variable index {i} out of range 1..{self.n}")
+        _check_index(i, self.n)
         if self.order < 1:
             raise PrecisionExhausted("cannot differentiate a jet of order 0")
         num = _derive_terms(self._num, i - 1, self.n, self._w)
@@ -1006,8 +990,8 @@ class Jet(_Frozen):
         # den/c and u over |c|: layer denominators stay positive.
         sign = 1 if c > 0 else -1
         num, den = _reduce({0: sign * self._den}, abs(c))
-        [[x]] = _linear_lift([[(list(num.items()), den)]],
-                             [[_scaled_layers(self, -sign, abs(c))]], self.order)
+        [[x]] = _linear_lift([[(list(num.items()), den)]], [[_scaled_layers(self, -sign, abs(c))]],
+                             self.order, _limit(self.order, self.n, self._w))
         return _join_layers(self.n, self.order, x)
 
     # serialization

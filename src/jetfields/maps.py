@@ -39,8 +39,8 @@ from .errors import (
     SingularMatrix,
 )
 from .jets import (_EMPTY, Jet, JetMatrix, JetTuple, Monomial, _apply_partials, _check_ring,
-                   _jet, _join_layers, _Layers, _lift, _linear_lift, _matrix, _pack, _reduce,
-                   _relaxed_terms, _scaled_layers, _tuple, _width)
+                   _jet, _join_layers, _Layers, _lift, _limit, _linear_lift, _matrix, _pack,
+                   _reduce, _relaxed_terms, _scaled_layers, _tuple, _width)
 from .rationals import Q
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,7 +173,7 @@ class FormalMap(JetTuple):
             for row, s in zip(inv, ws):
                 if row[i]:
                     s.terms += [(([(0, -row[i] * c)], d), t) for c, t in parts]
-        _lift(nodes, ws, cap)
+        _lift(nodes, ws, cap, _limit(cap, n, w))
         return _tuple(FormalMap, n, cap, tuple(_join_layers(n, cap, s.layers) for s in ws))
 
     # text form
@@ -224,7 +224,8 @@ def matrix_inverse(m: JetMatrix) -> JetMatrix:
     cinv = _matrix(tuple(tuple(_jet(n, order, num, den, w) for num, den in row) for row in c))
     # V, split off C^-1 M by degree and negated.
     v = [[_scaled_layers(e, -1, e._den) for e in row] for row in (cinv @ m).rows]
-    x = _linear_lift([[(list(num.items()), den) for num, den in row] for row in c], v, order)
+    x = _linear_lift([[(list(num.items()), den) for num, den in row] for row in c], v, order,
+                     _limit(order, n, w))
     return _matrix(tuple(tuple(_join_layers(n, order, s) for s in row) for row in x))
 
 

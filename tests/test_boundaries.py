@@ -786,6 +786,18 @@ VALUE_TYPE_ERRORS = [
                  "a coordinate jet needs order >= 1", id="euler_field(1, 0, 1)"),
     (lambda: Jet.variable(2, 3, 0), IndexError, "variable index 0 out of range 1..2"),
     (lambda: Jet.variable(2, 0, 1), PrecisionExhausted, "a coordinate jet needs order >= 1"),
+    # A variable index is an exact int: 1.5 named no variable, True named x1,
+    # and "1" and None raised a raw TypeError.
+    *[pytest.param(lambda call=call, i=i: call(i), IndexError,
+                   f"variable index must be an int, got {i!r}", id=f"{name}({i!r})")
+      for name, call in (("Jet.variable", lambda i: Jet.variable(2, 3, i)),
+                         ("partial_derivative", lambda i: _var(2, 3, 1).partial_derivative(i)),
+                         ("partial_field", lambda i: partial_field(2, 3, i)),
+                         ("euler_field", lambda i: euler_field(2, 3, i)))
+      for i in (1.5, True, "1", None)],
+    # An index past the digit limit raised str()'s raw ValueError from the message.
+    (lambda: Jet.variable(2, 3, -_HUGE), IndexError,
+     "variable index <int too long to print> out of range 1..2"),
     (lambda: Jet.constant(1, 2, None),
      TypeError, "cannot interpret None as an exact rational"),
     (lambda: _var(2, 2, 1) + None,

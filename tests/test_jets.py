@@ -27,7 +27,7 @@ from jetfields import (
     PrecisionExhausted,
     Q,
 )
-from jetfields.jets import _EMPTY, _dot_terms, _layer_dot, _limit, _pack, _reduce, _width
+from jetfields.jets import _EMPTY, _dot_terms, _Layers, _limit, _pack, _reduce, _width
 
 # -- independent oracles -----------------------------------------------------
 
@@ -188,18 +188,23 @@ def seeded_layer(rng, n: int, degree: int, w: int) -> tuple[list, int]:
     return list(items.items()), rng.choice((1, 2, 3, 4, 6, 7, 9))
 
 
-def test_layer_dot_matches_dot_terms():
-    # Pairs of layers whose degrees add up to d, against a capped product
-    # pass at order d, which keeps every product, then reduced.
+def test_layer_pass_matches_sorted_dot_terms():
+    # A layer pass of the lifts (``_Layers.grow``) over pairs of layers whose
+    # degrees add up to d, items unsorted, against a product pass over the
+    # same items sorted, both capped at order d, which keeps every product.
     rng = seeded_rng("layer-dot")
     reduced = 0
     for n, d in ((1, 3), (2, 4), (3, 5), (4, 8), (2, 16)):
         w = _width(d)
+        limit = _limit(d, n, w)
 
         def check(pairs):
             expected = _reduce(*_dot_terms([((sorted(a), da), (sorted(b), db))
-                                            for (a, da), (b, db) in pairs], _limit(d, n, w)))
-            items, den = _layer_dot(pairs)
+                                            for (a, da), (b, db) in pairs], limit))
+            terms = [(a, _Layers([_EMPTY] * d + [b])) for a, b in pairs]
+            node = _Layers([_EMPTY] * d, terms=terms)
+            node.grow(d, limit)
+            items, den = node.layers[d]
             assert len(dict(items)) == len(items)
             assert (dict(items), den) == expected
             return items, den

@@ -43,10 +43,14 @@ from jetfields import (
     pushforward,
     random_automorphism,
 )
+from jetfields.suite import _verdict
 
-# Orders 14..16 put a claim or a lift across the 15 <-> 16 layout boundary.
+# Orders 14..16 put a claim or a lift across the 15 <-> 16 layout boundary,
+# and orders 254..256 across the 255 <-> 256 one, past which the key width
+# is order.bit_length() (``jets._width``).
 ORDERS = (1, 2, 3, 4, 5, 14, 15, 16)
 BOUNDARY = (14, 15, 16)
+WIDE = (254, 255, 256)
 
 
 def terms(rng: random.Random, n: int, lo: int, hi: int, count: int) -> dict:
@@ -75,9 +79,11 @@ def lift(rng: random.Random, value):
 
 
 def shape(rng: random.Random, count: int, orders) -> tuple[int, list[int]]:
-    """A variable count and ``count`` orders; two variables at most past order 5."""
+    """A variable count and ``count`` orders; two variables at most past
+    order 5, and one past order 16."""
     picked = [rng.choice(orders) for _ in range(count)]
-    return rng.randint(1, 2 if max(picked) > 5 else 3), picked
+    top = max(picked)
+    return rng.randint(1, 3 if top <= 5 else 2 if top <= 16 else 1), picked
 
 
 def image(rng: random.Random, n: int, order: int, i: int) -> Jet:
@@ -247,6 +253,46 @@ def test_claims_are_tight(name, orders):
     assert moved
 
 
+def wide_substitute_case(rng, orders):
+    # f's 4 random terms rarely include a linear one at orders near 256, so
+    # one is added: a lift of an image's degree claim + 1 then shows in
+    # f(images).
+    (f, images), op, claim = substitute_case(rng, orders)
+    return (f + Jet(f.n, f.order, linear(rng, f.n)), images), op, claim
+
+
+# The cases across the wide-key boundary, with their rounds: an order-256
+# ``invert`` and its two lifts take about 0.8 s, the other cases a few
+# milliseconds.
+WIDE_CASES = {
+    "invert": (invert_case, 3),
+    "matrix_inverse": (matrix_inverse_case, 12),
+    "invert_unit": (invert_unit_case, 12),
+    "mul": (mul_case, 12),
+    "substitute": (wide_substitute_case, 12),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_CASES)
+def test_claims_hold_across_wide_keys(name):
+    # Soundness and tightness on univariate rings of orders 254..256: each
+    # of two lifts agrees with the result through the claim, and over the
+    # rounds some pair of lifts disagrees at the claim + 1.
+    case, rounds = WIDE_CASES[name]
+    rng = seeded_rng(f"ledger-wide-{name}")
+    moved = 0
+    for _ in range(rounds):
+        args, op, claim = case(rng, WIDE)
+        result = op(*args)
+        assert result.order == claim
+        first, second = (op(*[lift(rng, a) for a in args]) for _ in range(2))
+        for lifted in (first, second):
+            assert lifted.order >= claim + 1
+            assert lifted.equal_at(result, claim)
+        moved += not first.equal_at(second, claim + 1)
+    assert moved
+
+
 # -- the suite's verdict orders ------------------------------------------------------
 
 SUITE_CELLS = ([(check, n, 4) for n in (2, 3) for check in CHECK_IDS if check != "C10"]
@@ -262,9 +308,11 @@ def test_suite_verdicts_are_sound(check, n, order):
     for seed in range(3):
         rng = seeded_rng(f"suite-{check}-{n}-{order}-{seed}")
         inputs = cd.generate(rng, n, order)
-        verdict, sides = cd.evaluate(n, order, inputs)
+        sides = cd.evaluate(n, order, inputs)
+        verdict = _verdict(order, sides).verdict_order
         lifted = {kind: tuple(lift(rng, v) for v in values) for kind, values in inputs.items()}
-        lifted_verdict, lifted_sides = cd.evaluate(n, order + 2, lifted)
+        lifted_sides = cd.evaluate(n, order + 2, lifted)
+        lifted_verdict = _verdict(order + 2, lifted_sides).verdict_order
         assert lifted_verdict == verdict + 2
         for (name, lhs, rhs), (lifted_name, *lifted_halves) in zip(sides, lifted_sides,
                                                                   strict=True):
@@ -283,11 +331,29 @@ def test_suite_verdicts_are_tight(check, n, order):
     for seed in range(3):
         rng = seeded_rng(f"suite-tight-{check}-{n}-{order}-{seed}")
         inputs = cd.generate(rng, n, order)
-        verdict, sides = cd.evaluate(n, order, inputs)
+        sides = cd.evaluate(n, order, inputs)
+        verdict = _verdict(order, sides).verdict_order
         first, second = (cd.evaluate(n, order + 2, {kind: tuple(lift(rng, v) for v in values)
-                                                    for kind, values in inputs.items()})[1]
+                                                    for kind, values in inputs.items()})
                          for _ in range(2))
         for (_, lhs, _), (_, *a), (_, *b) in zip(sides, first, second, strict=True):
             if isinstance(lhs, (Jet, JetMatrix, Derivation)):
                 moved += sum(not x.equal_at(y, verdict + 1) for x, y in zip(a, b))
     assert moved
+
+
+@pytest.mark.parametrize("check", CHECK_IDS)
+def test_suite_verdict_orders_are_derived(check):
+    # The verdict order read off the sides is order - 2 for the checks that
+    # take two derivatives along some path (C4-C7) and order - 1 for the
+    # rest; C7's push-compose side alone is still decided at order - 1.
+    cd = CHECKS[check]
+    for n, order in ((1, 4), (1, 5)) if check == "C10" else ((2, 4), (3, 5)):
+        inputs = cd.generate(seeded_rng(f"derived-{check}-{n}-{order}"), n, order)
+        sides = cd.evaluate(n, order, inputs)
+        outcome = _verdict(order, sides)
+        assert outcome.passed
+        assert outcome.verdict_order == order - (2 if check in ("C4", "C5", "C6", "C7") else 1)
+        if check == "C7":
+            (push_compose,) = [side for side in sides if side[0] == "push-compose"]
+            assert _verdict(order, (push_compose,)).verdict_order == order - 1
