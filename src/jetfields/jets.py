@@ -474,15 +474,20 @@ def _tuple(cls: type, n: int, order: int, jets: tuple) -> "JetTuple":
 
 def _check_ring(n: int, order: int) -> None:
     if type(n) is not int or n < 1:
-        raise ValueError(f"variable count must be a positive int, got {n!r}")
+        raise ValueError(f"variable count must be a positive int, got {_shown(n)}")
     if type(order) is not int or order < 0:
-        raise ValueError(f"truncation order must be a non-negative int, got {order!r}")
+        raise ValueError(f"truncation order must be a non-negative int, got {_shown(order)}")
+
+
+def _check_int(what: str, value, error: type) -> None:
+    """An index, order or exponent is an exact int, not a bool; else ``error``."""
+    if type(value) is not int:
+        raise error(f"{what} must be an int, got {_shown(value)}")
 
 
 def _check_index(i: int, n: int) -> None:
-    """A 1-based variable index is an exact int, not a bool, in 1..n."""
-    if type(i) is not int:
-        raise IndexError(f"variable index must be an int, got {_shown(i)}")
+    """A 1-based variable index is an exact int in 1..n."""
+    _check_int("variable index", i, IndexError)
     if not 1 <= i <= n:
         raise IndexError(f"variable index {_shown(i)} out of range 1..{n}")
 
@@ -856,9 +861,10 @@ class Jet(_Frozen):
     def equal_at(self, other: "Jet", k: int) -> bool:
         """Whether both jets agree on all terms of total degree <= k."""
         self._check_same_n(other)
+        _check_int("order", k, OrderMismatch)
         if k < 0 or k > min(self.order, other.order):
             raise OrderMismatch(
-                f"order {k} not within the shared precision "
+                f"order {_shown(k)} not within the shared precision "
                 f"(0..{min(self.order, other.order)})"
             )
         return self._clipped(k) == other._clipped(k)
@@ -866,10 +872,11 @@ class Jet(_Frozen):
     # arithmetic
 
     def truncate(self, k: int) -> "Jet":
+        _check_int("order", k, OrderMismatch)
         if k > self.order:
-            raise OrderMismatch(f"cannot raise order {self.order} to {k}")
+            raise OrderMismatch(f"cannot raise order {self.order} to {_shown(k)}")
         if k < 0:
-            raise OrderMismatch(f"cannot truncate to negative order {k}")
+            raise OrderMismatch(f"cannot truncate to negative order {_shown(k)}")
         if k == self.order:
             return self
         return _jet(self.n, k, *self._clipped(k), _width(k))
@@ -925,8 +932,9 @@ class Jet(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Jet":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"jet powers take a non-negative int exponent, got {k!r}")
+        _check_int("exponent", k, ValueError)
+        if k < 0:
+            raise ValueError(f"jet powers take a non-negative int exponent, got {_shown(k)}")
         out = Jet.constant(self.n, self.order, 1)
         for _ in range(k):
             out = out * self
@@ -1273,6 +1281,7 @@ class JetTuple(_Frozen):
         return all(a.equal_at(b, k) for a, b in zip(self._jets, other._jets))
 
     def truncate(self, k: int):
+        _check_int("order", k, OrderMismatch)
         if k == self.order:
             return self
         return type(self)(self.n, k, tuple(jet.truncate(k) for jet in self._jets))

@@ -126,72 +126,47 @@ class CellResult(_Record):
         return self.failed_trials + sum(1 for c in self.controls if not c.ok)
 
 
-# -- generators ------------------------------------------------------------------
+# -- samplers --------------------------------------------------------------------
+#
+# A catalog entry declares its inputs as the names of the samplers that draw
+# them, maps then fields, in draw order.  Each sampler takes (n, order, rng).
+# ``_Draw`` looks the names up in this module when a trial draws, so a wrapper
+# bound to a name (as the benchmark's tracer binds one) sees every draw.
 
 
-def _gen_one_auto(rng: random.Random, n: int, order: int) -> Inputs:
-    return {"maps": (random_automorphism(n, order, rng),), "fields": ()}
+class _Draw(_Record):
+    """A catalog entry's ``generate``: the maps, then the fields, its samplers draw."""
+
+    __slots__ = ("maps", "fields")
+
+    def __init__(self, maps: tuple[str, ...], fields: tuple[str, ...]) -> None:
+        self._fill(maps, fields)
+
+    def __call__(self, rng: random.Random, n: int, order: int) -> Inputs:
+        draw = globals()
+        return {"maps": tuple([draw[name](n, order, rng) for name in self.maps]),
+                "fields": tuple([draw[name](n, order, rng) for name in self.fields])}
 
 
-def _gen_two_autos(rng: random.Random, n: int, order: int) -> Inputs:
-    return {
-        "maps": (
-            random_automorphism(n, order, rng),
-            random_automorphism(n, order, rng),
-        ),
-        "fields": (),
-    }
+def _drawing(maps: tuple[str, ...] = (), fields: tuple[str, ...] = ()) -> dict:
+    """The ``generate`` and ``arity`` of an entry whose inputs these samplers draw."""
+    return {"generate": _Draw(maps, fields), "arity": (len(maps), len(fields))}
 
 
-def _gen_const_jacobian(rng: random.Random, n: int, order: int) -> Inputs:
-    return {"maps": (random_const_jacobian(n, order, rng),), "fields": ()}
-
-
-def _gen_const_jacobian_and_field(rng: random.Random, n: int, order: int) -> Inputs:
-    return {
-        "maps": (random_const_jacobian(n, order, rng),),
-        "fields": (random_field(n, order, rng),),
-    }
-
-
-def _random_const_div(rng: random.Random, n: int, order: int) -> Derivation:
+def _random_const_div(n: int, order: int, rng: random.Random) -> Derivation:
     base = random_divergence_free(n, order, rng)
     return base + euler_field(n, order, 1) * _rand_rational(rng)
-
-
-def _gen_c6(rng: random.Random, n: int, order: int) -> Inputs:
-    return {
-        "maps": (),
-        "fields": (
-            random_field(n, order, rng),
-            random_field(n, order, rng),
-            _random_const_div(rng, n, order),
-            _random_const_div(rng, n, order),
-        ),
-    }
-
-
-def _gen_c7(rng: random.Random, n: int, order: int) -> Inputs:
-    return {
-        "maps": (
-            random_automorphism(n, order, rng),
-            random_automorphism(n, order, rng),
-        ),
-        "fields": (
-            random_field(n, order, rng),
-            random_field(n, order, rng),
-        ),
-    }
 
 
 def _constant_field(n: int, order: int, values) -> Derivation:
     return Derivation(n, order, tuple(Jet.constant(n, order, v) for v in values))
 
 
-def _gen_c9(rng: random.Random, n: int, order: int) -> Inputs:
-    const_f = _constant_field(
-        n, order, [_rand_rational(rng) for _ in range(n)]
-    )
+def _random_constant_field(n: int, order: int, rng: random.Random) -> Derivation:
+    return _constant_field(n, order, [_rand_rational(rng) for _ in range(n)])
+
+
+def _random_nonconstant_field(n: int, order: int, rng: random.Random) -> Derivation:
     while True:
         base = random_field(n, order, rng)
         slot = rng.randrange(n)
@@ -204,24 +179,25 @@ def _gen_c9(rng: random.Random, n: int, order: int) -> Inputs:
             any(1 <= sum(e) <= order - 1 for e in c.terms)
             for c in nonconst.coefficients
         ):
-            break
+            return nonconst
+
+
+def _random_weights(n: int, order: int, rng: random.Random) -> Derivation:
+    """A constant field whose weights, its coefficients, are not all zero."""
     while True:
         lam = [_rand_rational(rng) for _ in range(n)]
         if any(lam):
-            break
-    return {"maps": (), "fields": (const_f, nonconst, _constant_field(n, order, lam))}
+            return _constant_field(n, order, lam)
 
 
-def _gen_c10(rng: random.Random, n: int, order: int) -> Inputs:
-    affine = Derivation(1, order, (Jet(1, order, {
-        (0,): _rand_rational(rng),
-        (1,): _rand_rational(rng),
-    }),))
+def _random_affine_field(n: int, order: int, rng: random.Random) -> Derivation:
+    a, b = _rand_rational(rng), _rand_rational(rng)
+    return Derivation(1, order, (Jet(1, order, {(0,): a, (1,): b}),))
+
+
+def _random_curved_field(n: int, order: int, rng: random.Random) -> Derivation:
     k = rng.randint(2, order)
-    curved = Derivation(1, order, (
-        Jet.monomial(1, order, (k,), _rand_rational(rng, nonzero=True)),
-    ))
-    return {"maps": (), "fields": (affine, curved)}
+    return Derivation(1, order, (Jet.monomial(1, order, (k,), _rand_rational(rng, nonzero=True)),))
 
 
 # -- evaluators ------------------------------------------------------------------
@@ -481,54 +457,64 @@ CHECKS: dict[str, IdentityCheck] = {
         IdentityCheck(
             "C1", "jacobian-chain-rule",
             "J(compose(s,t)) == J(s) @ s(J(t))",
-            2, _gen_two_autos, _eval_c1, (2, 0),
+            2, evaluate=_eval_c1,
+            **_drawing(maps=("random_automorphism", "random_automorphism")),
         ),
         IdentityCheck(
             "C2", "jacobian-det-cocycle",
             "detJ(compose(s,t)) == detJ(s) * s(detJ(t))",
-            2, _gen_two_autos, _eval_c2, (2, 0),
+            2, evaluate=_eval_c2,
+            **_drawing(maps=("random_automorphism", "random_automorphism")),
         ),
         IdentityCheck(
             "C3", "inverse-jacobian-formulas",
             "J(invert(s)) == invert(s)(J(s)^-1), same for detJ",
-            2, _gen_one_auto, _eval_c3, (1, 0),
+            2, evaluate=_eval_c3, **_drawing(maps=("random_automorphism",)),
         ),
         IdentityCheck(
             "C4", "piola-identity",
             "sum_j d_j (J^-1)[i][j] == 0 for constant-Jacobian maps",
-            3, _gen_const_jacobian, _eval_c4, (1, 0),
+            3, evaluate=_eval_c4, **_drawing(maps=("random_const_jacobian",)),
         ),
         IdentityCheck(
             "C5", "divergence-equivariance",
             "div(push(s, D)) == s(div(D)) for constant-Jacobian s",
-            3, _gen_const_jacobian_and_field, _eval_c5, (1, 1),
+            3, evaluate=_eval_c5,
+            **_drawing(maps=("random_const_jacobian",), fields=("random_field",)),
             control=_c5_control,
         ),
         IdentityCheck(
             "C6", "bracket-divergence",
             "div[D,E] == D(div E) - E(div D); const-div fields close up",
-            3, _gen_c6, _eval_c6, (0, 4),
+            3, evaluate=_eval_c6,
+            **_drawing(fields=("random_field", "random_field",
+                               "_random_const_div", "_random_const_div")),
         ),
         IdentityCheck(
             "C7", "pushforward-bracket",
             "push(s,[D,E]) == [push(s,D), push(s,E)]; push(compose(s,t), D) == push(s, push(t, D))",
-            3, _gen_c7, _eval_c7, (2, 2),
+            3, evaluate=_eval_c7,
+            **_drawing(maps=("random_automorphism", "random_automorphism"),
+                       fields=("random_field", "random_field")),
         ),
         IdentityCheck(
             "C8", "frame-duality",
             "push(s, d_i) applied to s(x_j) == delta_ij",
-            3, _gen_one_auto, _eval_c8, (1, 0),
+            3, evaluate=_eval_c8, **_drawing(maps=("random_automorphism",)),
         ),
         IdentityCheck(
             "C9", "partials-centralizer",
             "[d_i, D] == 0 for all i iff D has constant coefficients; "
             "scaled translations do not commute",
-            2, _gen_c9, _eval_c9, (0, 3),
+            2, evaluate=_eval_c9,
+            **_drawing(fields=("_random_constant_field", "_random_nonconstant_field",
+                               "_random_weights")),
         ),
         IdentityCheck(
             "C10", "univariate-structure",
             "in one variable the constant-divergence fields are span{d, x d}",
-            2, _gen_c10, _eval_c10, (0, 2),
+            2, evaluate=_eval_c10,
+            **_drawing(fields=("_random_affine_field", "_random_curved_field")),
             n_only=1,
         ),
     )

@@ -795,9 +795,46 @@ VALUE_TYPE_ERRORS = [
                          ("partial_field", lambda i: partial_field(2, 3, i)),
                          ("euler_field", lambda i: euler_field(2, 3, i)))
       for i in (1.5, True, "1", None)],
+    # An order or an exponent is an exact int too: 1.5 raised a raw TypeError
+    # from ``<<``, Jet.truncate(True) returned a jet of order True, equal_at
+    # and ``**`` read True as 1, and FormalMap.truncate(True) raised ValueError.
+    *[pytest.param(lambda call=call, k=k: call(k), exc,
+                   f"{what} must be an int, got {k!r}", id=f"{name}({k!r})")
+      for name, call, what, exc in (
+          ("Jet.truncate", lambda k: _var(2, 3, 1).truncate(k), "order", OrderMismatch),
+          ("Jet.equal_at", lambda k: _var(2, 3, 1).equal_at(_var(2, 3, 2), k),
+           "order", OrderMismatch),
+          ("JetMatrix.equal_at",
+           lambda k: identity_matrix(2, 3).equal_at(identity_matrix(2, 3), k),
+           "order", OrderMismatch),
+          ("FormalMap.truncate", lambda k: _coords(FormalMap, 2, 3).truncate(k),
+           "order", OrderMismatch),
+          ("FormalMap.equal_at",
+           lambda k: _coords(FormalMap, 2, 3).equal_at(_coords(FormalMap, 2, 3), k),
+           "order", OrderMismatch),
+          ("Derivation.truncate", lambda k: _coords(Derivation, 2, 3).truncate(k),
+           "order", OrderMismatch),
+          ("Jet.__pow__", lambda k: _var(2, 3, 1) ** k, "exponent", ValueError))
+      for k in (1.5, True, "1", None)],
+    # An order-1 map truncated to True was returned as it stood.
+    pytest.param(lambda: _coords(FormalMap, 2, 1).truncate(True), OrderMismatch,
+                 "order must be an int, got True", id="FormalMap.truncate(True) at order 1"),
     # An index past the digit limit raised str()'s raw ValueError from the message.
     (lambda: Jet.variable(2, 3, -_HUGE), IndexError,
      "variable index <int too long to print> out of range 1..2"),
+    # So did an order, an exponent or a ring past the digit limit.
+    (lambda: _var(2, 3, 1).truncate(_HUGE), OrderMismatch,
+     "cannot raise order 3 to <int too long to print>"),
+    (lambda: _var(2, 3, 1).truncate(-_HUGE), OrderMismatch,
+     "cannot truncate to negative order <int too long to print>"),
+    (lambda: _var(2, 3, 1).equal_at(_var(2, 3, 2), _HUGE), OrderMismatch,
+     "order <int too long to print> not within the shared precision (0..3)"),
+    (lambda: _var(2, 3, 1) ** -_HUGE, ValueError,
+     "jet powers take a non-negative int exponent, got <int too long to print>"),
+    (lambda: Jet.zero(1, -_HUGE), ValueError,
+     "truncation order must be a non-negative int, got <int too long to print>"),
+    (lambda: Jet.zero(-_HUGE, 1), ValueError,
+     "variable count must be a positive int, got <int too long to print>"),
     (lambda: Jet.constant(1, 2, None),
      TypeError, "cannot interpret None as an exact rational"),
     (lambda: _var(2, 2, 1) + None,

@@ -13,8 +13,9 @@ degrees, and recomputes:
 The cases cover ``substitute`` (with images below f's order), ``compose``,
 ``apply_matrix``, ``pushforward``, the derivation action ``apply`` and
 ``bracket``, the three operations built on the relaxed lift:
-``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``, and the
-jet product ``*``, ``partial_derivative`` and ``JetMatrix.det``.  They
+``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``, the
+jet product ``*``, ``partial_derivative`` and ``JetMatrix.det``, and
+``jacobian_matrix``, ``divergence`` and ``exp_flow``.  They
 run at small orders and across the 15 <-> 16 key-layout boundary, where a
 lifted operand is repacked.  The suite's evaluators are checked for
 soundness too: each side of a trial holds through the trial's verdict order
@@ -39,6 +40,7 @@ from jetfields import (
     Jet,
     JetMatrix,
     Q,
+    exp_flow,
     matrix_inverse,
     pushforward,
     random_automorphism,
@@ -211,6 +213,28 @@ def invert_unit_case(rng, orders):
     return (f,), lambda f: f.invert_unit(), q
 
 
+def jacobian_matrix_case(rng, orders):
+    # The lift of an image's degree p + 1 reaches its partials at p.
+    n, (p,) = shape(rng, 1, orders)
+    sigma = random_automorphism(n, p, rng.randrange(10 ** 6))
+    return (sigma,), FormalMap.jacobian_matrix, p - 1
+
+
+def divergence_case(rng, orders):
+    # The lift of a coefficient's degree r + 1 reaches the divergence at r.
+    n, (r,) = shape(rng, 1, orders)
+    return (dense_field(rng, n, r),), Derivation.divergence, r - 1
+
+
+def exp_flow_case(rng, orders):
+    # Coefficients of adic order >= 2, as the flow needs; the lift of a
+    # coefficient's degree r + 1 reaches its image at r + 1 in the flow's
+    # first-order term.
+    n, (r,) = shape(rng, 1, orders)
+    field = Derivation(n, r, tuple(Jet(n, r, terms(rng, n, 2, r, 3)) for _ in range(n)))
+    return (field,), exp_flow, field.order
+
+
 CASES = {
     "substitute": substitute_case,
     "compose": compose_case,
@@ -224,6 +248,9 @@ CASES = {
     "mul": mul_case,
     "partial_derivative": partial_derivative_case,
     "det": det_case,
+    "jacobian_matrix": jacobian_matrix_case,
+    "divergence": divergence_case,
+    "exp_flow": exp_flow_case,
 }
 
 

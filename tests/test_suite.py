@@ -256,6 +256,26 @@ def test_arity_table_matches_generators():
         assert CHECKS[ident].arity == (len(inputs["maps"]), len(inputs["fields"])), ident
 
 
+def test_a_wrapper_bound_to_a_sampler_name_sees_each_draw():
+    # The benchmark's tracer rebinds the samplers' names in ``suite``; a
+    # catalog entry that held a sampler as a function object would draw past it.
+    def counting(counts, name, sampler):
+        def counted(*args):
+            counts[name] += 1
+            return sampler(*args)
+        return counted
+
+    for ident in CHECK_IDS:
+        draw = CHECKS[ident].generate
+        declared = draw.maps + draw.fields
+        counts = dict.fromkeys(declared, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in counts:
+                mp.setattr(suite, name, counting(counts, name, getattr(suite, name)))
+            run_check(ident, CHECKS[ident].n_only or 2, 4, 0)
+        assert counts == {name: declared.count(name) for name in counts}, ident
+
+
 # -- reports ----------------------------------------------------------------------------
 
 
