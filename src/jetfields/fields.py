@@ -193,8 +193,7 @@ def pushforward(
             f"Jacobian inverse of order {jinv.order} is below the result order {k}"
         )
     # The images vanish at 0, so sigma(a) to order k needs only a to order k.
-    table: dict = {}
-    moved = [sigma._apply(a.truncate(k), table) for a in field.coefficients]
+    moved = sigma._pullback([a.truncate(k) for a in field.coefficients])
     coeffs = tuple(
         _dot(sigma.n, k, [(m, row[j]) for m, row in zip(moved, jinv.rows) if not m.is_zero])
         for j in range(sigma.n)

@@ -953,9 +953,9 @@ class Jet(_Frozen):
 
         Every image must have zero constant term; substitution is only
         defined along the adic topology.  All images must live in the same
-        ring as this jet.  ``_table`` is for callers that substitute many
-        jets along the same images: a dict shared by those calls, which
-        keeps, per limit, the images sorted for reuse (``_sorted``) and the
+        ring as this jet.  ``_table`` is for ``FormalMap._pullback``, which
+        substitutes many jets along one map's images: a dict shared by those
+        calls, keeping per limit the images sorted (``_sorted``) and the
         products of the images that the evaluation reuses, keyed by packed
         monomials in that limit's layout.  This jet's keys go in as stored
         when they share that layout, and are repacked otherwise.

@@ -55,27 +55,29 @@ class FormalMap(JetTuple):
     _label, _kind, _continuous = "image of x{}", "maps", True
 
     def __new__(cls, n: int, order: int, images: tuple[Jet, ...]) -> "FormalMap":
-        if not isinstance(order, int) or order < 1:
-            raise ValueError(f"maps need truncation order >= 1, got {order!r}")
+        _check_map_ring(n, order)
         return _tuple(cls, n, order, cls._checked(n, order, images))
 
     # algebra
 
     def apply(self, f: Jet) -> Jet:
         """Pull back the jet f along this map: f evaluated at the images."""
-        return self._apply(f, {})
+        return self._pullback((f,))[0]
 
-    def _apply(self, f: Jet, table: dict) -> Jet:
-        # ``table`` may be shared by pullbacks along this map; see Jet.substitute.
-        if f.n != self.n:
-            raise DimensionMismatch(
-                f"jet in {f.n} variables cannot be pulled back along a map on {self.n}"
-            )
-        return f.substitute(self.images, _table=table)
+    def _pullback(self, jets: Sequence[Jet]) -> list[Jet]:
+        """Each jet pulled back along this map, all through one substitution
+        table, so the images are sorted and their products built once."""
+        for f in jets:
+            if f.n != self.n:
+                raise DimensionMismatch(
+                    f"jet in {f.n} variables cannot be pulled back along a map on {self.n}"
+                )
+        table: dict = {}
+        return [f.substitute(self.images, _table=table) for f in jets]
 
     def apply_matrix(self, m: JetMatrix) -> JetMatrix:
-        table: dict = {}
-        return _matrix(tuple(tuple(self._apply(e, table) for e in row) for row in m.rows))
+        moved = iter(self._pullback([e for row in m.rows for e in row]))
+        return _matrix(tuple(tuple(next(moved) for _ in row) for row in m.rows))
 
     def compose(self, other: "FormalMap") -> "FormalMap":
         """The map with apply(result, f) == apply(self, apply(other, f))."""
@@ -83,10 +85,9 @@ class FormalMap(JetTuple):
             raise DimensionMismatch(
                 f"cannot compose maps on {self.n} and {other.n} variables"
             )
-        k = min(self.order, other.order)
-        table: dict = {}
-        images = tuple(self._apply(img, table).truncate(k) for img in other.images)
-        return _tuple(FormalMap, self.n, k, images)
+        # Substitution keeps the lower order, min(self.order, other.order).
+        return _tuple(FormalMap, self.n, min(self.order, other.order),
+                      tuple(self._pullback(other.images)))
 
     def _degree_one(self) -> tuple[list[int], list[list[int]]]:
         """The packed keys of x1..xn, and D A for D the diagonal of the image
@@ -405,12 +406,11 @@ def random_const_jacobian(n: int, order: int, seed: "int | random.Random") -> Fo
     """
     _check_map_ring(n, order)
     rng = _as_rng(seed)
-    images = _sheared_linear_images(rng, n, order)
+    sigma = _tuple(FormalMap, n, order, tuple(_sheared_linear_images(rng, n, order)))
     if n >= 2 and order >= 2:
-        table: dict = {}
         flow = _flow_images(n, order, _divergence_free_coeffs(rng, n, order))
-        images = [f.substitute(images, _table=table) for f in flow]
-    return _tuple(FormalMap, n, order, tuple(images))
+        sigma = _tuple(FormalMap, n, order, tuple(sigma._pullback(flow)))
+    return sigma
 
 
 def random_automorphism(n: int, order: int, seed: "int | random.Random") -> FormalMap:

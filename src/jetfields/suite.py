@@ -29,7 +29,7 @@ import itertools
 import json
 import random
 import time
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import linalg
 from .errors import ConfigError, JetfieldsError
@@ -612,22 +612,9 @@ class SuiteConfig(_Record):
             )
         if type(self.seed) is not int:
             raise ConfigError("seed must be an int")
-        for ident in self.checks:
-            need = CHECKS[ident].min_order
-            low = [o for o in self.order_list if o < need]
-            if low:
-                raise ConfigError(
-                    f"check {ident} needs order >= {need}, rejected orders {low}"
-                )
-        if not any(
-            CHECKS[ident].applicable(n) for ident in self.checks for n in self.n_list
-        ):
+        # A list, not ``any``: every cell must pass ``_cell_check``.
+        if not list(_cells(self)):
             raise ConfigError("configuration yields no applicable (check, n) cells")
-        for ident in self.checks:
-            for n in self.n_list:
-                if CHECKS[ident].applicable(n):
-                    for order in self.order_list:
-                        _cell_check(ident, n, order)
 
     def to_dict(self) -> dict:
         return {
@@ -637,6 +624,16 @@ class SuiteConfig(_Record):
             "trials": self.trials,
             "seed": self.seed,
         }
+
+
+def _cells(config: SuiteConfig) -> Iterator[tuple[str, int, int, IdentityCheck]]:
+    """The applicable (check, n, order) cells of ``config`` in run order, each
+    with its catalog entry from ``_cell_check``."""
+    for ident in config.checks:
+        for n in config.n_list:
+            if CHECKS[ident].applicable(n):
+                for order in config.order_list:
+                    yield ident, n, order, _cell_check(ident, n, order)
 
 
 def trial_seed(master: int, check: str, n: int, order: int, index: int) -> int:
@@ -796,16 +793,11 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> VerificationReport:
     """Run every applicable (check, n, order) cell of the configuration."""
     config.validate()
     cells = []
-    for ident in config.checks:
-        cd = CHECKS[ident]
-        for n in config.n_list:
-            if not cd.applicable(n):
-                continue
-            for order in config.order_list:
-                trials = tuple(
-                    run_check(ident, n, order, trial_seed(config.seed, ident, n, order, t))
-                    for t in range(config.trials)
-                )
-                controls = (cd.control(n, order),) if cd.control else ()
-                cells.append(CellResult(ident, n, order, trials, controls))
+    for ident, n, order, cd in _cells(config):
+        trials = tuple(
+            run_check(ident, n, order, trial_seed(config.seed, ident, n, order, t))
+            for t in range(config.trials)
+        )
+        controls = (cd.control(n, order),) if cd.control else ()
+        cells.append(CellResult(ident, n, order, trials, controls))
     return VerificationReport(config, tuple(cells))

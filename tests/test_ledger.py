@@ -14,8 +14,10 @@ The cases cover ``substitute`` (with images below f's order), ``compose``,
 ``apply_matrix``, ``pushforward``, the derivation action ``apply`` and
 ``bracket``, the three operations built on the relaxed lift:
 ``FormalMap.invert``, ``matrix_inverse`` and ``Jet.invert_unit``, the
-jet product ``*``, ``partial_derivative`` and ``JetMatrix.det``, and
-``jacobian_matrix``, ``divergence`` and ``exp_flow``.  They
+jet operations ``+``, ``-``, ``*`` and ``**``, ``partial_derivative``,
+``Derivation.__add__``, ``JetMatrix.__matmul__`` and ``JetMatrix.det``,
+and ``jacobian_matrix``, ``jacobian_det``, ``coordinate_frame``,
+``divergence`` and ``exp_flow``.  They
 run at small orders and across the 15 <-> 16 key-layout boundary, where a
 lifted operand is repacked.  The suite's evaluators are checked for
 soundness too: each side of a trial holds through the trial's verdict order
@@ -40,6 +42,7 @@ from jetfields import (
     Jet,
     JetMatrix,
     Q,
+    coordinate_frame,
     exp_flow,
     matrix_inverse,
     pushforward,
@@ -200,6 +203,40 @@ def mul_case(rng, orders):
     return (f, g), lambda f, g: f * g, min(p, q)
 
 
+def add_case(rng, orders):
+    # The lift of the lower-order operand's degree min(p, q) + 1 shows in
+    # the sum there; so does either lift when the orders are equal.
+    n, (p, q) = shape(rng, 2, orders)
+    f, g = (Jet(n, k, terms(rng, n, 0, k, 3)) for k in (p, q))
+    return (f, g), lambda f, g: f + g, min(p, q)
+
+
+def sub_case(rng, orders):
+    (f, g), _, claim = add_case(rng, orders)
+    return (f, g), lambda f, g: f - g, claim
+
+
+def field_add_case(rng, orders):
+    n, (p, q) = shape(rng, 2, orders)
+    return (dense_field(rng, n, p), dense_field(rng, n, q)), lambda x, y: x + y, min(p, q)
+
+
+def matmul_case(rng, orders):
+    # Both factors have invertible constants, so the lift of either
+    # factor's degree min(p, q) + 1 reaches the product there.
+    n, (p, q) = shape(rng, 2, orders)
+    a, b = (dense_matrix(rng, n, k) for k in (p, q))
+    return (a, b), lambda a, b: a @ b, min(p, q)
+
+
+def pow_case(rng, orders):
+    # f = c + r with c nonzero: the lift of f's degree q + 1 reaches f**k
+    # there times k c**(k - 1).
+    n, (q,) = shape(rng, 1, orders)
+    k = rng.randint(1, 3)
+    return (unit(rng, n, q, Q(rng.randint(1, 3))),), lambda f: f ** k, q
+
+
 def partial_derivative_case(rng, orders):
     # The lift's terms of degree q + 1 in x_i reach the partial at q.
     n, (q,) = shape(rng, 1, orders)
@@ -218,6 +255,24 @@ def jacobian_matrix_case(rng, orders):
     n, (p,) = shape(rng, 1, orders)
     sigma = random_automorphism(n, p, rng.randrange(10 ** 6))
     return (sigma,), FormalMap.jacobian_matrix, p - 1
+
+
+def jacobian_det_case(rng, orders):
+    # The lift of an image's degree p + 1 reaches J at p, and det there
+    # through the cofactors of the invertible linear part.
+    (sigma,), _, claim = jacobian_matrix_case(rng, orders)
+    return (sigma,), FormalMap.jacobian_det, claim
+
+
+def coordinate_frame_case(rng, orders):
+    # The frame is J^-1 row by row; the lift of J at p reaches J^-1 at p
+    # through C^-1.  Compared as the matrix of its coefficients.
+    (sigma,), _, claim = jacobian_matrix_case(rng, orders)
+
+    def frame(s):
+        return JetMatrix(tuple(d.coefficients for d in coordinate_frame(s)))
+
+    return (sigma,), frame, claim
 
 
 def divergence_case(rng, orders):
@@ -245,10 +300,17 @@ CASES = {
     "invert": invert_case,
     "matrix_inverse": matrix_inverse_case,
     "invert_unit": invert_unit_case,
+    "add": add_case,
+    "sub": sub_case,
     "mul": mul_case,
+    "pow": pow_case,
     "partial_derivative": partial_derivative_case,
+    "field_add": field_add_case,
+    "matmul": matmul_case,
     "det": det_case,
     "jacobian_matrix": jacobian_matrix_case,
+    "jacobian_det": jacobian_det_case,
+    "coordinate_frame": coordinate_frame_case,
     "divergence": divergence_case,
     "exp_flow": exp_flow_case,
 }
